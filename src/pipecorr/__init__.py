@@ -44,13 +44,9 @@ from .model import (
     survival,
 )
 from .numerics import (
-    DEFAULT_TOLERANCES,
     QuadratureResult,
-    Tolerances,
     expectation_semi_infinite,
-    find_root_bracketed,
     fixed_order_expectation,
-    gamma_cdf,
     gamma_quantile,
     log_gamma,
 )
@@ -69,7 +65,6 @@ __all__ = [
     "AnalysisReport",
     "BacktestRow",
     "CORROSION_SURVEY_KM",
-    "DEFAULT_TOLERANCES",
     "DataValidationError",
     "EstimatorStudy",
     "FittedModel",
@@ -83,7 +78,6 @@ __all__ = [
     "QuadratureResult",
     "RecordSequence",
     "SimulatedPath",
-    "Tolerances",
     "backtest",
     "conditional_density",
     "count_at",
@@ -94,10 +88,8 @@ __all__ = [
     "event_density",
     "expectation_semi_infinite",
     "exponential_transform",
-    "find_root_bracketed",
     "fit_mle",
     "fixed_order_expectation",
-    "gamma_cdf",
     "gamma_quantile",
     "gof_report",
     "ingest_csv",

@@ -53,9 +53,11 @@ class _Parser(argparse.ArgumentParser):
 def ingest_csv(path):
     """Read a one-column ``position_km`` CSV into a RecordSequence.
 
-    Rows must already be sorted strictly increasing: record order is the
-    model's subject matter, so out-of-order or duplicated positions are
-    reported as data errors (with the 1-based data row), never repaired.
+    Only parsing happens here; ``RecordSequence`` then checks positivity
+    and order, so a parse error in any row is reported first. Rows must
+    already be sorted strictly increasing: record order is the model's
+    subject matter, so out-of-order or duplicated positions are reported
+    as data errors (with the 1-based data row), never repaired.
     """
     p = Path(path)
     if not p.is_file():
@@ -94,25 +96,6 @@ def ingest_csv(path):
             raise DataValidationError(
                 "non-finite value %r at data row %d" % (cell, data_row),
                 code="malformed-number",
-                row=data_row,
-            )
-        if x <= 0:
-            raise DataValidationError(
-                "position must be positive, got %g at data row %d" % (x, data_row),
-                code="nonpositive",
-                row=data_row,
-            )
-        if values and x == values[-1]:
-            raise DataValidationError(
-                "duplicate position %g at data row %d" % (x, data_row),
-                code="duplicate",
-                row=data_row,
-            )
-        if values and x < values[-1]:
-            raise DataValidationError(
-                "positions must increase along the line; %g at data row %d "
-                "is below the previous value %g" % (x, data_row, values[-1]),
-                code="non-increasing",
                 row=data_row,
             )
         values.append(x)
@@ -357,14 +340,18 @@ def _cmd_backtest(args, out):
     _emit(report, args.json, out)
 
 
+def _rate_from_args(args):
+    if not (0 < args.alpha < math.inf and 0 < args.beta < math.inf):
+        raise UsageError("--alpha and --beta must be positive and finite")
+    return PowerLawRate(args.alpha, args.beta)
+
+
 def _cmd_simulate(args, out):
-    if args.alpha <= 0 or args.beta <= 0:
-        raise UsageError("--alpha and --beta must be positive")
+    rate = _rate_from_args(args)
     if args.m < 1:
         raise UsageError("--m must be at least 1")
     if args.seed < 0:
         raise UsageError("--seed must be nonnegative")
-    rate = PowerLawRate(args.alpha, args.beta)
     path = simulate_first_m(rate, args.m, args.seed)
     if args.json:
         report = AnalysisReport(
@@ -388,11 +375,9 @@ def _cmd_plot_data(args, out):
     if args.points < 2:
         raise UsageError("--points must be at least 2")
     if args.kind == "rate":
-        if args.alpha <= 0 or args.beta <= 0:
-            raise UsageError("--alpha and --beta must be positive")
-        if not 0 <= args.t_min < args.t_max:
-            raise UsageError("need 0 <= --t-min < --t-max")
-        rate = PowerLawRate(args.alpha, args.beta)
+        rate = _rate_from_args(args)
+        if not 0 <= args.t_min < args.t_max < math.inf:
+            raise UsageError("need 0 <= --t-min < --t-max, both finite")
         if rate.alpha < 1 and args.t_min == 0:
             raise UsageError("--t-min must be positive when alpha < 1 (rate diverges at 0)")
         grid = np.linspace(args.t_min, args.t_max, args.points)

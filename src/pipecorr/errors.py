@@ -5,7 +5,12 @@ class DataValidationError(ValueError):
     """Raised when input data violate the record-sequence contract.
 
     Carries a short machine-readable ``code`` and, for tabular input,
-    the offending 1-based data row (header excluded).
+    the offending 1-based data row (header excluded). The codes are
+    ``missing-file``, ``bad-encoding``, ``bad-header``, ``malformed-row``
+    and ``malformed-number`` from CSV parsing; ``empty``, ``nonpositive``,
+    ``duplicate`` (a tie) and ``non-increasing`` (a decrease) from
+    ``RecordSequence``; ``insufficient-data``; ``fit-data-mismatch``
+    (records and fit disagree); and the default ``invalid-data``.
     """
 
     def __init__(self, message, code="invalid-data", row=None):
@@ -22,10 +27,12 @@ class InsufficientDataError(DataValidationError):
 
 
 class NumericError(ArithmeticError):
-    """Raised when an iterative numeric routine fails to converge.
+    """Raised when an iterative numeric routine fails to converge, or
+    when near-tied records push a fitted beta out of the float range.
 
     ``last_estimate`` and ``previous_estimate`` hold the final two
-    iterates so callers can judge how bad the failure was.
+    iterates of a failed quadrature so callers can judge how bad the
+    failure was.
     """
 
     def __init__(self, message, last_estimate=None, previous_estimate=None):

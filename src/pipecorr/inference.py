@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataValidationError, InsufficientDataError
+from .errors import DataValidationError, InsufficientDataError, NumericError
 from .model import PowerLawRate, log_likelihood
 
 __all__ = ["RecordSequence", "FittedModel", "fit_mle", "sequential_fits"]
@@ -15,7 +15,9 @@ class RecordSequence:
     """A strictly increasing sequence of positive defect positions.
 
     Positions are stored as a plain tuple of floats. Validation happens
-    at construction so downstream code can assume a clean sequence.
+    at construction, and only here, so downstream code can assume a clean
+    sequence. The error code and ``row`` name the first violation; the
+    message lists every offending index.
     """
 
     positions: tuple
@@ -26,20 +28,23 @@ class RecordSequence:
         object.__setattr__(self, "positions", pos)
         if len(pos) == 0:
             raise DataValidationError("record sequence is empty", code="empty")
-        bad = [i for i, x in enumerate(pos) if not np.isfinite(x) or x <= 0]
-        if bad:
+        arr = np.array(pos)
+        bad = np.flatnonzero(~np.isfinite(arr) | (arr <= 0))
+        if bad.size:
             raise DataValidationError(
-                "positions must be positive and finite; offending indices %s" % bad,
+                "positions must be positive and finite; offending indices %s" % bad.tolist(),
                 code="nonpositive",
-                row=bad[0] + 1,
+                row=int(bad[0]) + 1,
             )
-        nondec = [i for i in range(1, len(pos)) if pos[i] <= pos[i - 1]]
-        if nondec:
+        step = np.diff(arr)
+        bad = np.flatnonzero(step <= 0) + 1
+        if bad.size:
             raise DataValidationError(
                 "positions must be strictly increasing; "
-                "violations at indices %s (0-based, comparing with the previous entry)" % nondec,
-                code="not-increasing",
-                row=nondec[0] + 1,
+                "violations at indices %s (0-based, comparing with the previous entry)"
+                % bad.tolist(),
+                code="duplicate" if step[bad[0] - 1] == 0 else "non-increasing",
+                row=int(bad[0]) + 1,
             )
 
     def __len__(self):
@@ -94,6 +99,9 @@ def fit_mle(records):
     InsufficientDataError
         With fewer than two records the likelihood has no interior
         maximum.
+    NumericError
+        If beta_hat leaves the float range, as it does when the records
+        are so close to tied that alpha_hat is in the hundreds.
     """
     pos = records.as_array()
     m = pos.size
@@ -101,7 +109,10 @@ def fit_mle(records):
         raise InsufficientDataError("fit needs at least 2 records, got %d" % m)
     denom = float(np.sum(np.log(pos[-1] / pos[:-1])))
     alpha = m / denom
-    beta = m / np.exp(alpha * np.log(pos[-1]))
+    with np.errstate(over="ignore", divide="ignore"):
+        beta = m / np.exp(alpha * np.log(pos[-1]))
+    if not 0.0 < beta < np.inf:
+        raise NumericError("fitted beta %r left the float range; records nearly tied" % float(beta))
     rate = PowerLawRate(alpha, float(beta))
     return FittedModel(
         rate=rate,

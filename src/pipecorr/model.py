@@ -123,12 +123,7 @@ def event_density(rate, t):
     Same domain rules as ``intensity_at``: t = 0 is rejected when
     alpha < 1.
     """
-    t_arr = _positions(t)
-    if rate.alpha < 1 and np.any(t_arr == 0):
-        raise ValueError("density diverges at t = 0 for alpha < 1")
-    lam = rate.alpha * rate.beta * _power(t_arr, rate.alpha - 1.0)
-    out = lam * np.exp(-rate.beta * _power(t_arr, rate.alpha))
-    return _unwrap(out, t)
+    return intensity_at(rate, t) * survival(rate, t)
 
 
 def log_likelihood(rate, records):

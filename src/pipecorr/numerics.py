@@ -1,5 +1,5 @@
-"""Numeric kernels: gamma-family special functions, gamma-weighted
-quadrature on the half line, and bracketed root finding.
+"""Numeric kernels: gamma-family special functions and gamma-weighted
+quadrature on the half line.
 
 Everything downstream of the fitted model reduces to integrals of the
 form E[g(W)] with W ~ Gamma(k, 1), so the quadrature routine here is
@@ -9,36 +9,20 @@ the single place where prediction accuracy is controlled.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import NumericError
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
     "QuadratureResult",
     "log_gamma",
-    "gamma_cdf",
     "gamma_quantile",
     "fixed_order_expectation",
     "expectation_semi_infinite",
-    "find_root_bracketed",
 ]
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Convergence policy for the escalating quadrature loop.
-
-    Successive estimates must agree to ``rel`` in relative terms or
-    ``abs`` absolutely, whichever is looser at the current magnitude.
-    """
-
-    rel: float = 1e-8
-    abs: float = 1e-10
-
-
-DEFAULT_TOLERANCES = Tolerances()
+_REL_TOL = 1e-8
+_ABS_TOL = 1e-10
 
 # Escalation ladder for expectation_semi_infinite. Generalized
 # Gauss-Laguerre converges geometrically for the smooth integrands
@@ -77,27 +61,8 @@ def log_gamma(a):
     return float(out[0]) if np.ndim(a) == 0 else out
 
 
-def gamma_cdf(k, x):
-    """Lower regularized incomplete gamma P(k, x), the CDF of Gamma(k, 1).
-
-    Parameters
-    ----------
-    k : float
-        Shape parameter, k > 0.
-    x : float or array_like
-        Evaluation point(s), x >= 0.
-    """
-    if k <= 0:
-        raise ValueError("shape must be positive, got %g" % k)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < 0):
-        raise ValueError("gamma_cdf requires x >= 0")
-    out = special.gammainc(k, x_arr)
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
 def gamma_quantile(k, p):
-    """Inverse of ``gamma_cdf`` in its second argument.
+    """Quantile of Gamma(k, 1): the inverse in x of the regularized P(k, x).
 
     Accepts p in [0, 1); p = 0 maps to 0.
     """
@@ -108,14 +73,6 @@ def gamma_quantile(k, p):
         raise ValueError("gamma_quantile requires 0 <= p < 1")
     out = special.gammaincinv(k, p_arr)
     return float(out[0]) if np.ndim(p) == 0 else out
-
-
-def _eval_vectorized(integrand, nodes):
-    vals = np.asarray(integrand(nodes), dtype=float)
-    if vals.shape != nodes.shape:
-        # Scalar-only integrand; fall back to a point loop.
-        vals = np.array([float(integrand(w)) for w in nodes])
-    return vals
 
 
 def fixed_order_expectation(integrand, shape, order):
@@ -129,24 +86,25 @@ def fixed_order_expectation(integrand, shape, order):
     if shape <= 0:
         raise ValueError("shape must be positive, got %g" % shape)
     nodes, weights = special.roots_genlaguerre(order, shape - 1.0)
-    vals = _eval_vectorized(integrand, nodes)
+    # A constant integrand may return a scalar; broadcast it over the nodes.
+    vals = np.broadcast_to(integrand(nodes), nodes.shape)
     return float(np.sum(weights * vals)) / np.exp(log_gamma(shape))
 
 
-def expectation_semi_infinite(integrand, shape, tolerances=DEFAULT_TOLERANCES):
+def expectation_semi_infinite(integrand, shape):
     """E[g(W)] for W ~ Gamma(shape, 1), with automatic order escalation.
 
     Runs ``fixed_order_expectation`` on an increasing ladder of orders
-    and stops when two successive estimates agree to ``tolerances``.
+    and stops when two successive estimates agree to a relative 1e-8 or
+    an absolute 1e-10, whichever is looser.
 
     Parameters
     ----------
     integrand : callable
-        g, evaluated on an ndarray of nodes (scalar-only callables are
-        accepted but slower).
+        g, evaluated on an ndarray of nodes; it returns an array of the
+        same shape or a constant.
     shape : float
         Gamma shape parameter k > 0.
-    tolerances : Tolerances, optional
 
     Returns
     -------
@@ -165,7 +123,7 @@ def expectation_semi_infinite(integrand, shape, tolerances=DEFAULT_TOLERANCES):
         evaluations += order
         if previous is not None:
             gap = abs(estimate - previous)
-            if gap <= max(tolerances.rel * abs(estimate), tolerances.abs):
+            if gap <= max(_REL_TOL * abs(estimate), _ABS_TOL):
                 return QuadratureResult(
                     value=estimate,
                     error_estimate=gap,
@@ -179,23 +137,3 @@ def expectation_semi_infinite(integrand, shape, tolerances=DEFAULT_TOLERANCES):
         previous_estimate=previous,
     )
 
-
-def find_root_bracketed(func, lo, hi, rtol=1e-12):
-    """Root of a continuous scalar function on a sign-changing bracket.
-
-    Thin safeguarded wrapper around Brent's method; the returned root
-    always lies inside [lo, hi].
-    """
-    if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
-        raise ValueError("bracket must be finite with lo < hi, got [%r, %r]" % (lo, hi))
-    f_lo = func(lo)
-    f_hi = func(hi)
-    if f_lo == 0.0:
-        return float(lo)
-    if f_hi == 0.0:
-        return float(hi)
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise ValueError(
-            "bracket does not straddle a root: f(%g)=%g, f(%g)=%g" % (lo, f_lo, hi, f_hi)
-        )
-    return float(optimize.brentq(func, lo, hi, rtol=rtol))

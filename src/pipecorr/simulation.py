@@ -66,17 +66,20 @@ def _path_positions(rate, m, rng):
     return inverse_cumulative_intensity(rate, s)
 
 
+def _simulate(rate, m, seed, stream):
+    if m < 1:
+        raise ValueError("m must be at least 1, got %d" % m)
+    pos = _path_positions(rate, m, np.random.default_rng([seed, stream]))
+    return SimulatedPath(positions=tuple(float(x) for x in pos), rate_used=rate, seed=int(seed))
+
+
 def simulate_first_m(rate, m, seed):
     """Simulate the first m event positions of the power-law process.
 
     Exact (inversion of the cumulative rate, no thinning or
     discretization) and deterministic given (rate, m, seed).
     """
-    if m < 1:
-        raise ValueError("m must be at least 1, got %d" % m)
-    rng = np.random.default_rng([seed, _STREAM_PROCESS])
-    pos = _path_positions(rate, m, rng)
-    return SimulatedPath(positions=tuple(float(x) for x in pos), rate_used=rate, seed=int(seed))
+    return _simulate(rate, m, seed, _STREAM_PROCESS)
 
 
 def simulate_records_from_iid(rate, m, seed):
@@ -88,11 +91,7 @@ def simulate_records_from_iid(rate, m, seed):
     ``simulate_first_m``; the draw stream is split differently so the
     two generators are independent at equal seed.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1, got %d" % m)
-    rng = np.random.default_rng([seed, _STREAM_RECORDS])
-    pos = _path_positions(rate, m, rng)
-    return SimulatedPath(positions=tuple(float(x) for x in pos), rate_used=rate, seed=int(seed))
+    return _simulate(rate, m, seed, _STREAM_RECORDS)
 
 
 def count_at(path, t):

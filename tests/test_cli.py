@@ -104,6 +104,13 @@ class TestIngest:
         with pytest.raises(InsufficientDataError):
             ingest_csv(path)
 
+    def test_parse_error_precedes_order_error(self, write_csv):
+        path = write_csv([2.0, 1.0, "abc"])
+        with pytest.raises(DataValidationError) as excinfo:
+            ingest_csv(path)
+        assert excinfo.value.code == "malformed-number"
+        assert excinfo.value.row == 3
+
     def test_extra_column(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("position_km\n1.0,2.0\n")
@@ -293,6 +300,32 @@ class TestErrorChannel:
         code, _, err = run_cli(["fit", survey_csv, "--frobnicate"])
         assert code == 2
         assert ERROR_LINE.match(err.strip())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--alpha", "inf", "--beta", "1", "--m", "5", "--seed", "7"],
+            ["simulate", "--alpha", "nan", "--beta", "1", "--m", "5", "--seed", "7"],
+            ["simulate", "--alpha", "1", "--beta", "inf", "--m", "5", "--seed", "7"],
+            ["plot-data", "rate", "--alpha", "nan", "--beta", "1", "--t-max", "3"],
+            ["plot-data", "rate", "--alpha", "2", "--beta", "1", "--t-max", "inf"],
+            ["plot-data", "rate", "--alpha", "2", "--beta", "1", "--t-min", "nan", "--t-max", "3"],
+        ],
+    )
+    def test_non_finite_flags_are_usage_errors(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert ERROR_LINE.match(err.strip()), err
+        assert err.startswith("pipecorr: error[usage]")
+
+    @pytest.mark.filterwarnings("error")
+    def test_near_tied_records_exit_4(self, write_csv):
+        code, out, err = run_cli(["backtest", write_csv([30, 30.01, 31, 33, 40])])
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert ERROR_LINE.match(err.strip()), err
 
     def test_numeric_errors_exit_4(self, survey_csv, monkeypatch):
         from pipecorr.errors import NumericError

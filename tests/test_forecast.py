@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize, special
 
 from pipecorr import (
     InsufficientDataError,
@@ -12,9 +12,7 @@ from pipecorr import (
     cumulative_intensity,
     density_curve,
     estimator_study,
-    find_root_bracketed,
     fit_mle,
-    gamma_cdf,
     predict,
     predict_mean,
     predict_quantile,
@@ -107,10 +105,11 @@ class TestPredictQuantile:
         k = float(query18.s - fit17.m)
         for p in (0.05, 0.5, 0.9, 0.995):
             direct = predict_quantile(query18, p)
-            root = find_root_bracketed(
-                lambda y: gamma_cdf(k, cumulative_intensity(rate, y) - lam_rm) - p,
+            root = optimize.brentq(
+                lambda y: special.gammainc(k, cumulative_intensity(rate, y) - lam_rm) - p,
                 fit17.r_m + 1e-9,
                 200.0,
+                rtol=1e-12,
             )
             assert np.isclose(direct, root, rtol=1e-10)
 
@@ -136,8 +135,12 @@ class TestPredictionInterval:
         lam_rm = cumulative_intensity(rate, fit17.r_m)
         low, high = prediction_interval(query18, level=0.9)
         k = float(query18.s - fit17.m)
-        assert np.isclose(gamma_cdf(k, cumulative_intensity(rate, low) - lam_rm), 0.05, atol=1e-10)
-        assert np.isclose(gamma_cdf(k, cumulative_intensity(rate, high) - lam_rm), 0.95, atol=1e-10)
+        assert np.isclose(
+            special.gammainc(k, cumulative_intensity(rate, low) - lam_rm), 0.05, atol=1e-10
+        )
+        assert np.isclose(
+            special.gammainc(k, cumulative_intensity(rate, high) - lam_rm), 0.95, atol=1e-10
+        )
 
     def test_level_validation(self, query18):
         with pytest.raises(ValueError):

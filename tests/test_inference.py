@@ -4,6 +4,7 @@ import pytest
 from pipecorr import (
     DataValidationError,
     InsufficientDataError,
+    NumericError,
     PowerLawRate,
     RecordSequence,
     cumulative_intensity,
@@ -40,10 +41,21 @@ class TestRecordSequence:
     def test_not_increasing_lists_offenders(self):
         with pytest.raises(DataValidationError) as excinfo:
             RecordSequence([1.0, 3.0, 2.0, 5.0, 5.0])
-        assert excinfo.value.code == "not-increasing"
+        assert excinfo.value.code == "non-increasing"
         # both the decrease at index 2 and the tie at index 4 are named
         assert "2" in str(excinfo.value)
         assert "4" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "positions, code, row",
+        [([1.0, 2.0, 2.0, 1.0], "duplicate", 3), ([1.0, 3.0, 2.0, 2.0], "non-increasing", 3)],
+    )
+    def test_first_violation_decides_code(self, positions, code, row):
+        with pytest.raises(DataValidationError) as excinfo:
+            RecordSequence(positions)
+        assert excinfo.value.code == code
+        assert excinfo.value.row == row
+        assert "[2, 3]" in str(excinfo.value)
 
     def test_nan_rejected(self):
         with pytest.raises(DataValidationError):
@@ -93,6 +105,14 @@ class TestFitMle:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             fit_mle(RecordSequence([3.2]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_near_tied_records_raise_numeric_error(self):
+        # r2 / r1 = 1.0003 gives alpha_hat near 6000, so beta_hat
+        # underflows to 0; the small-scale case overflows it instead
+        for positions in ([30.0, 30.01], [1e-5, 1.0001e-5]):
+            with pytest.raises(NumericError):
+                fit_mle(RecordSequence(positions))
 
     def test_scale_property(self, survey17, fit17):
         # rescaling positions by c leaves alpha_hat unchanged and maps

@@ -3,14 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from pipecorr import (
     NumericError,
     expectation_semi_infinite,
-    find_root_bracketed,
     fixed_order_expectation,
-    gamma_cdf,
     gamma_quantile,
     log_gamma,
 )
@@ -42,33 +40,6 @@ class TestLogGamma:
         assert np.allclose(out, [log_gamma(x) for x in a], rtol=1e-15)
 
 
-class TestGammaCdf:
-    def test_exponential_anchor(self):
-        assert np.isclose(gamma_cdf(1.0, 1.0), 1.0 - math.exp(-1.0), rtol=1e-14)
-
-    def test_against_quadrature(self):
-        # integrate the density directly as an independent check
-        k = 3.5
-        for x in (0.5, 2.0, 7.0):
-            ref, err = integrate.quad(
-                lambda w: w ** (k - 1) * math.exp(-w) / math.gamma(k), 0.0, x
-            )
-            assert abs(gamma_cdf(k, x) - ref) <= 1e-10 + 10 * err
-
-    def test_monotone_and_limits(self):
-        xs = np.linspace(0.0, 30.0, 200)
-        vals = gamma_cdf(2.2, xs)
-        assert vals[0] == 0.0
-        assert np.all(np.diff(vals) >= 0)
-        assert vals[-1] > 1 - 1e-9
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma_cdf(0.0, 1.0)
-        with pytest.raises(ValueError):
-            gamma_cdf(1.0, -0.1)
-
-
 class TestGammaQuantile:
     def test_exponential_closed_form(self):
         # for k = 1 the quantile is -log(1 - p)
@@ -79,7 +50,7 @@ class TestGammaQuantile:
         for k in (0.7, 1.0, 2.0, 9.5):
             for p in (0.01, 0.25, 0.5, 0.9, 0.999):
                 x = gamma_quantile(k, p)
-                assert np.isclose(gamma_cdf(k, x), p, rtol=1e-10, atol=1e-12)
+                assert np.isclose(special.gammainc(k, x), p, rtol=1e-10, atol=1e-12)
 
     def test_edges(self):
         assert gamma_quantile(2.0, 0.0) == 0.0
@@ -163,27 +134,3 @@ class TestFixedOrderExpectation:
                 exact *= k + i
             assert np.isclose(moment, exact, rtol=1e-11)
 
-
-class TestFindRootBracketed:
-    def test_quadratic(self):
-        root = find_root_bracketed(lambda x: x * x - 4.0, 0.0, 3.0)
-        assert np.isclose(root, 2.0, rtol=1e-12)
-
-    def test_root_at_endpoint(self):
-        assert find_root_bracketed(lambda x: x - 1.0, 1.0, 2.0) == 1.0
-        assert find_root_bracketed(lambda x: x - 2.0, 1.0, 2.0) == 2.0
-
-    def test_stays_inside_bracket(self):
-        root = find_root_bracketed(lambda x: math.tanh(x - 0.7), -5.0, 5.0)
-        assert -5.0 <= root <= 5.0
-        assert np.isclose(root, 0.7, rtol=1e-10)
-
-    def test_no_sign_change(self):
-        with pytest.raises(ValueError):
-            find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
-
-    def test_bad_bracket(self):
-        with pytest.raises(ValueError):
-            find_root_bracketed(lambda x: x, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            find_root_bracketed(lambda x: x, 0.0, math.inf)
