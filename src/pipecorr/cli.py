@@ -396,8 +396,8 @@ def _cmd_plot_data(args, out):
         query = PredictionQuery(fitted=fitted, s=fitted.m + args.steps)
         y_min = fitted.r_m if args.y_min is None else args.y_min
         y_max = predict_quantile(query, 0.995) if args.y_max is None else args.y_max
-        if not fitted.r_m <= y_min < y_max:
-            raise UsageError("need r_m <= --y-min < --y-max")
+        if not fitted.r_m <= y_min < y_max < math.inf:
+            raise UsageError("need r_m <= --y-min < --y-max, both finite")
         pairs = density_curve(query, y_min, y_max, args.points)
         header = "y,density"
     if args.json:

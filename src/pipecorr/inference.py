@@ -78,6 +78,24 @@ class FittedModel:
         return self.rate.beta
 
 
+def _mle_rows(pos):
+    """(alpha_hat, beta_hat) of each row of pos, records along the last axis.
+
+    The arithmetic of ``fit_mle``: the log ratios are summed over the last
+    axis of a fresh C-contiguous array, so a row of a 2-D call gives the
+    same bits as a 1-D call on that row. Float warnings are silenced; a
+    row that is not strictly increasing gives meaningless values, and
+    callers check that beta stayed in the float range.
+    """
+    m = pos.shape[-1]
+    with np.errstate(all="ignore"):
+        log_ratio = pos[..., -1:] / pos[..., :-1]
+        np.log(log_ratio, out=log_ratio)
+        alpha = m / np.sum(log_ratio, axis=-1)
+        beta = m / np.exp(alpha * np.log(pos[..., -1]))
+    return alpha, beta
+
+
 def fit_mle(records):
     """Closed-form maximum-likelihood fit.
 
@@ -107,13 +125,10 @@ def fit_mle(records):
     m = pos.size
     if m < 2:
         raise InsufficientDataError("fit needs at least 2 records, got %d" % m)
-    denom = float(np.sum(np.log(pos[-1] / pos[:-1])))
-    alpha = m / denom
-    with np.errstate(over="ignore", divide="ignore"):
-        beta = m / np.exp(alpha * np.log(pos[-1]))
+    alpha, beta = _mle_rows(pos)
     if not 0.0 < beta < np.inf:
         raise NumericError("fitted beta %r left the float range; records nearly tied" % float(beta))
-    rate = PowerLawRate(alpha, float(beta))
+    rate = PowerLawRate(float(alpha), float(beta))
     return FittedModel(
         rate=rate,
         m=m,

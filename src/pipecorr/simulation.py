@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import RecordSequence, fit_mle
-from .forecast import PredictionQuery, predict_quantile
-from .model import inverse_cumulative_intensity
+from .errors import NumericError
+from .inference import RecordSequence, _mle_rows
+from .numerics import gamma_quantile
 
 __all__ = [
     "SimulatedPath",
@@ -56,20 +56,44 @@ class SimulatedPath:
         return RecordSequence(self.positions)
 
 
-def _unit_exponentials(rng, n):
-    # -log1p(-U) keeps full precision for tiny U, unlike -log(1 - U).
-    return -np.log1p(-rng.random(n))
+def _positions_from_uniforms(rate, u):
+    """Turn uniforms u into positions in place, one path per row.
 
+    The inversion of the module docstring along the last axis: unit
+    exponentials -log1p(-U) (full precision for tiny U, unlike
+    -log(1 - U)), their partial sums S, then Lambda^{-1}(S) by the float
+    steps of ``inverse_cumulative_intensity``. Returns u.
 
-def _path_positions(rate, m, rng):
-    s = np.cumsum(_unit_exponentials(rng, m))
-    return inverse_cumulative_intensity(rate, s)
+    Raises
+    ------
+    NumericError
+        If a position is not a finite positive float (Lambda^{-1}
+        overflowed or underflowed), naming the first such path.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        np.cumsum(u, axis=-1, out=u)
+        u /= rate.beta
+        np.log(u, out=u)
+        u *= 1.0 / rate.alpha
+        np.exp(u, out=u)
+    bad = np.flatnonzero(~(np.isfinite(u) & (u > 0)))
+    if bad.size:
+        path, index = divmod(int(bad[0]), u.shape[-1])
+        raise NumericError(
+            "%ssimulated position %d is %r, outside the positive float range at alpha=%r, beta=%r"
+            % ("path %d: " % path if u.ndim > 1 else "", index + 1, float(u.flat[bad[0]]),
+               rate.alpha, rate.beta)
+        )
+    return u
 
 
 def _simulate(rate, m, seed, stream):
     if m < 1:
         raise ValueError("m must be at least 1, got %d" % m)
-    pos = _path_positions(rate, m, np.random.default_rng([seed, stream]))
+    pos = _positions_from_uniforms(rate, np.random.default_rng([seed, stream]).random(m))
     return SimulatedPath(positions=tuple(float(x) for x in pos), rate_used=rate, seed=int(seed))
 
 
@@ -134,27 +158,56 @@ def estimator_study(rate, m, n_replicates, seed, level=0.95):
     landed in the plug-in prediction interval.
 
     Replicate k uses the dedicated stream (seed, 2, k), so results are
-    independent of execution order and of the other generators.
+    independent of execution order and of the other generators. All
+    replicates run as one array pass over an (n_replicates, m + 1)
+    array of draws, with the float steps of ``fit_mle`` and
+    ``prediction_interval``, so the result equals a replicate-by-replicate
+    loop bit for bit. Memory is O(n_replicates * (m + 1)).
+
+    Raises
+    ------
+    ValueError
+        If m < 2, n_replicates < 2 or level is outside (0, 1).
+    NumericError
+        If a simulated position leaves the positive float range, if a
+        replicate's first m positions tie in floating point, or if a
+        fitted beta leaves the float range. The message names the first
+        offending replicate; position failures are looked for first.
     """
     if m < 2:
         raise ValueError("study needs m >= 2 to fit, got %d" % m)
-    if n_replicates < 1:
-        raise ValueError("n_replicates must be positive, got %d" % n_replicates)
-    alphas = np.empty(n_replicates)
-    betas = np.empty(n_replicates)
-    hits = 0
+    if n_replicates < 2:
+        raise ValueError("n_replicates must be at least 2, got %d" % n_replicates)
+    if not 0.0 < level < 1.0:
+        raise ValueError("coverage level must be in (0, 1), got %r" % (level,))
+    pos = np.empty((n_replicates, m + 1))
+    for k, row in enumerate(pos):
+        np.random.default_rng([seed, _STREAM_STUDY, k]).random(m + 1, out=row)
+    _positions_from_uniforms(rate, pos)
+    tied = pos[:, 1:m] <= pos[:, :m - 1]
+    alphas, betas = _mle_rows(pos[:, :m])
+    bad = np.flatnonzero(tied.any(axis=-1) | ~((0.0 < betas) & (betas < np.inf)))
+    if bad.size:
+        k = int(bad[0])
+        if tied[k].any():
+            i = int(np.argmax(tied[k])) + 1
+            raise NumericError(
+                "replicate %d: simulated positions %d and %d tie in floating point at "
+                "alpha=%r; the fit needs strictly increasing records" % (k, i, i + 1, rate.alpha)
+            )
+        raise NumericError("replicate %d: fitted beta %r left the float range; "
+                           "records nearly tied" % (k, float(betas[k])))
+    # Interval ends Lambda^{-1}(Lambda(r_m) + G^{-1}(p)) per replicate, by
+    # the float steps of cumulative_intensity and inverse_cumulative_intensity.
     tail = (1.0 - level) / 2.0
-    for k in range(n_replicates):
-        rng = np.random.default_rng([seed, _STREAM_STUDY, k])
-        pos = _path_positions(rate, m + 1, rng)
-        fitted = fit_mle(RecordSequence(pos[:m]))
-        alphas[k] = fitted.rate.alpha
-        betas[k] = fitted.rate.beta
-        query = PredictionQuery(fitted=fitted, s=m + 1)
-        low = predict_quantile(query, tail)
-        high = predict_quantile(query, 1.0 - tail)
-        if low <= pos[m] <= high:
-            hits += 1
+    g_low, g_high = gamma_quantile(1.0, [tail, 1.0 - tail])
+    with np.errstate(over="ignore"):
+        base = betas * np.exp(alphas * np.log(pos[:, m - 1]))
+        inv_alpha = 1.0 / alphas
+        low = np.exp(inv_alpha * np.log((base + g_low) / betas))
+        high = np.exp(inv_alpha * np.log((base + g_high) / betas))
+    held_out = pos[:, m]
+    hits = np.count_nonzero((low <= held_out) & (held_out <= high))
     return EstimatorStudy(
         m=int(m),
         n_replicates=int(n_replicates),

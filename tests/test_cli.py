@@ -310,10 +310,12 @@ class TestErrorChannel:
             ["plot-data", "rate", "--alpha", "nan", "--beta", "1", "--t-max", "3"],
             ["plot-data", "rate", "--alpha", "2", "--beta", "1", "--t-max", "inf"],
             ["plot-data", "rate", "--alpha", "2", "--beta", "1", "--t-min", "nan", "--t-max", "3"],
+            ["plot-data", "density", "{survey}", "--y-max", "inf"],
+            ["plot-data", "density", "{survey}", "--y-min", "nan"],
         ],
     )
-    def test_non_finite_flags_are_usage_errors(self, argv):
-        code, out, err = run_cli(argv)
+    def test_non_finite_flags_are_usage_errors(self, argv, survey_csv):
+        code, out, err = run_cli([a.format(survey=survey_csv) for a in argv])
         assert code == 2
         assert out == ""
         assert ERROR_LINE.match(err.strip()), err
@@ -325,6 +327,15 @@ class TestErrorChannel:
         assert code == 4
         assert out == ""
         assert err.count("\n") == 1
+        assert ERROR_LINE.match(err.strip()), err
+
+    @pytest.mark.filterwarnings("error")
+    def test_simulated_overflow_exits_4(self):
+        code, out, err = run_cli(["simulate", "--alpha", "1e-3", "--beta", "1", "--m", "5", "--seed", "1"])
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("pipecorr: error[numeric]")
         assert ERROR_LINE.match(err.strip()), err
 
     def test_numeric_errors_exit_4(self, survey_csv, monkeypatch):

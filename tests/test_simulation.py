@@ -3,11 +3,17 @@ import pytest
 from scipy import stats
 
 from pipecorr import (
+    EstimatorStudy,
+    NumericError,
     PowerLawRate,
+    PredictionQuery,
+    RecordSequence,
     count_at,
     cumulative_intensity,
     estimator_study,
     fit_mle,
+    inverse_cumulative_intensity,
+    predict_quantile,
     simulate_first_m,
     simulate_records_from_iid,
     survival,
@@ -173,7 +179,77 @@ class TestCountAt:
         assert abs(np.mean(counts) - target) <= 0.02 * target
 
 
+def reference_study(rate, m, n_replicates, seed, level=0.95):
+    """The estimator study as a replicate-by-replicate loop over public pieces."""
+    alphas = np.empty(n_replicates)
+    betas = np.empty(n_replicates)
+    hits = 0
+    tail = (1.0 - level) / 2.0
+    for k in range(n_replicates):
+        u = np.random.default_rng([seed, 2, k]).random(m + 1)
+        pos = inverse_cumulative_intensity(rate, np.cumsum(-np.log1p(-u)))
+        fitted = fit_mle(RecordSequence(pos[:m]))
+        alphas[k] = fitted.rate.alpha
+        betas[k] = fitted.rate.beta
+        query = PredictionQuery(fitted=fitted, s=m + 1)
+        if predict_quantile(query, tail) <= pos[m] <= predict_quantile(query, 1.0 - tail):
+            hits += 1
+    return EstimatorStudy(
+        m=m,
+        n_replicates=n_replicates,
+        seed=seed,
+        level=level,
+        alpha_mean=float(np.mean(alphas)),
+        alpha_median=float(np.median(alphas)),
+        alpha_std=float(np.std(alphas, ddof=1)),
+        alpha_stderr=float(np.std(alphas, ddof=1) / np.sqrt(n_replicates)),
+        beta_mean=float(np.mean(betas)),
+        beta_median=float(np.median(betas)),
+        beta_std=float(np.std(betas, ddof=1)),
+        coverage=hits / n_replicates,
+    )
+
+
 class TestEstimatorStudy:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "alpha, beta, m, n_replicates, seed, level",
+        [
+            (1.2, 0.17, 50, 1000, 1, 0.95),
+            (1.2, 0.17, 50, 1000, 2, 0.95),
+            (1.2, 0.17, 50, 1000, 3, 0.95),
+            (0.5, 3.0, 2, 50, 4, 0.8),
+            (2.5, 0.02, 17, 2000, 5, 0.9),
+            (0.9, 1.0, 400, 50, 6, 0.5),
+        ],
+    )
+    def test_equals_replicate_loop(self, alpha, beta, m, n_replicates, seed, level):
+        rate = PowerLawRate(alpha, beta)
+        study = estimator_study(rate, m, n_replicates, seed, level)
+        assert study == reference_study(rate, m, n_replicates, seed, level)
+
+    def test_near_tie_names_first_replicate(self):
+        # at m = 2, replicate 412 of seed 1 is the first whose fitted
+        # beta overflows; the loop fails there too
+        rate = PowerLawRate(1.0, 1.0)
+        assert estimator_study(rate, 2, 412, 1) == reference_study(rate, 2, 412, 1)
+        with pytest.raises(NumericError):
+            reference_study(rate, 2, 413, 1)
+        with pytest.raises(NumericError, match="replicate 412: fitted beta"):
+            estimator_study(rate, 2, 413, 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_unrepresentable_positions_are_numeric_errors(self):
+        # alpha = 1e-3 sends (S/beta)**1000 past the float range
+        with pytest.raises(NumericError, match="outside the positive float range"):
+            estimator_study(PowerLawRate(1e-3, 1.0), 5, 10, 1)
+        with pytest.raises(NumericError, match="outside the positive float range"):
+            simulate_first_m(PowerLawRate(1e-3, 1.0), 5, 1)
+        # alpha = 1e17 maps every position to 1.0: a float tie
+        with pytest.raises(NumericError, match="tie"):
+            estimator_study(PowerLawRate(1e17, 1.0), 3, 5, 0)
+
+
     def test_summary_coherence(self):
         study = estimator_study(RATE, m=20, n_replicates=400, seed=12)
         assert study.m == 20
@@ -189,8 +265,14 @@ class TestEstimatorStudy:
         study = estimator_study(RATE, m=30, n_replicates=600, seed=5)
         assert abs(study.alpha_median - RATE.alpha) / RATE.alpha < 0.1
 
+    @pytest.mark.filterwarnings("error")
     def test_validation(self):
         with pytest.raises(ValueError):
             estimator_study(RATE, m=1, n_replicates=10, seed=0)
         with pytest.raises(ValueError):
             estimator_study(RATE, m=5, n_replicates=0, seed=0)
+        with pytest.raises(ValueError, match="n_replicates must be at least 2"):
+            estimator_study(RATE, m=5, n_replicates=1, seed=0)
+        for level in (0.0, 1.0, 1.5, -0.2, float("nan")):
+            with pytest.raises(ValueError, match=r"coverage level must be in \(0, 1\)"):
+                estimator_study(RATE, m=5, n_replicates=10, seed=0, level=level)
