@@ -249,7 +249,6 @@ class TestEstimatorStudy:
         with pytest.raises(NumericError, match="tie"):
             estimator_study(PowerLawRate(1e17, 1.0), 3, 5, 0)
 
-
     def test_summary_coherence(self):
         study = estimator_study(RATE, m=20, n_replicates=400, seed=12)
         assert study.m == 20
