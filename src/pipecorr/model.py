@@ -60,6 +60,30 @@ def _power(t, p):
     return out
 
 
+def _cumulative(alpha, beta, t):
+    """Lambda(t) = beta * exp(alpha * log t) on a nonnegative float array.
+
+    The one place the float steps of Lambda live; alpha and beta may be
+    arrays that broadcast against t. t == 0 gives exp(-inf) = 0 exactly.
+    """
+    with np.errstate(divide="ignore"):
+        return beta * np.exp(alpha * np.log(t))
+
+
+def _inverse(alpha, beta, w, out=None):
+    """Lambda^{-1}(w) = exp((1 / alpha) * log(w / beta)) on a nonnegative float array.
+
+    The one place the float steps of Lambda^{-1} live; alpha and beta may
+    be arrays that broadcast against w. With ``out`` (which may be w) the
+    steps run in place. w == 0 gives 0 exactly.
+    """
+    with np.errstate(divide="ignore"):
+        out = np.divide(w, beta, out=out)
+        np.log(out, out=out)
+        out *= 1.0 / alpha
+        return np.exp(out, out=out)
+
+
 def _positions(t, name="t"):
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(~np.isfinite(arr)) or np.any(arr < 0):
@@ -90,8 +114,7 @@ def intensity_at(rate, t):
 
 def cumulative_intensity(rate, t):
     """Expected event count on [0, t], Lambda(t) = beta * t**alpha."""
-    t_arr = _positions(t)
-    out = rate.beta * _power(t_arr, rate.alpha)
+    out = _cumulative(rate.alpha, rate.beta, _positions(t))
     return _unwrap(out, t)
 
 
@@ -101,8 +124,7 @@ def inverse_cumulative_intensity(rate, w):
     Solves Lambda(t) = w in closed form, t = (w / beta)**(1 / alpha).
     Inverse of ``cumulative_intensity`` on w >= 0.
     """
-    w_arr = _positions(w, name="w")
-    out = _power(w_arr / rate.beta, 1.0 / rate.alpha)
+    out = _inverse(rate.alpha, rate.beta, _positions(w, name="w"))
     return _unwrap(out, w)
 
 
@@ -112,8 +134,7 @@ def survival(rate, t):
     Under the record-value reading this is one minus the underlying
     i.i.d. distribution function.
     """
-    t_arr = _positions(t)
-    out = np.exp(-rate.beta * _power(t_arr, rate.alpha))
+    out = np.exp(-_cumulative(rate.alpha, rate.beta, _positions(t)))
     return _unwrap(out, t)
 
 
@@ -148,5 +169,5 @@ def log_likelihood(rate, records):
     return float(
         pos.size * np.log(rate.alpha * rate.beta)
         + (rate.alpha - 1.0) * np.sum(np.log(pos))
-        - rate.beta * np.exp(rate.alpha * np.log(r_m))
+        - _cumulative(rate.alpha, rate.beta, r_m)
     )

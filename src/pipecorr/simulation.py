@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import NumericError
 from .inference import RecordSequence, _mle_rows
+from .model import _cumulative, _inverse
 from .numerics import gamma_quantile
 
 __all__ = [
@@ -61,39 +62,33 @@ def _positions_from_uniforms(rate, u):
 
     The inversion of the module docstring along the last axis: unit
     exponentials -log1p(-U) (full precision for tiny U, unlike
-    -log(1 - U)), their partial sums S, then Lambda^{-1}(S) by the float
-    steps of ``inverse_cumulative_intensity``. Returns u.
-
-    Raises
-    ------
-    NumericError
-        If a position is not a finite positive float (Lambda^{-1}
-        overflowed or underflowed), naming the first such path.
+    -log(1 - U)), their partial sums S, then Lambda^{-1}(S) through
+    ``model._inverse``. Returns u and the mask of positions that are not
+    finite positive floats (Lambda^{-1} overflowed or underflowed).
     """
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore"):
         np.negative(u, out=u)
         np.log1p(u, out=u)
         np.negative(u, out=u)
         np.cumsum(u, axis=-1, out=u)
-        u /= rate.beta
-        np.log(u, out=u)
-        u *= 1.0 / rate.alpha
-        np.exp(u, out=u)
-    bad = np.flatnonzero(~(np.isfinite(u) & (u > 0)))
-    if bad.size:
-        path, index = divmod(int(bad[0]), u.shape[-1])
-        raise NumericError(
-            "%ssimulated position %d is %r, outside the positive float range at alpha=%r, beta=%r"
-            % ("path %d: " % path if u.ndim > 1 else "", index + 1, float(u.flat[bad[0]]),
-               rate.alpha, rate.beta)
-        )
-    return u
+        _inverse(rate.alpha, rate.beta, u, out=u)
+    return u, ~(np.isfinite(u) & (u > 0))
+
+
+def _range_error(rate, where, pos, bad):
+    i = int(np.argmax(bad))
+    return NumericError(
+        "%ssimulated position %d is %r, outside the positive float range at alpha=%r, beta=%r"
+        % (where, i + 1, float(pos[i]), rate.alpha, rate.beta)
+    )
 
 
 def _simulate(rate, m, seed, stream):
     if m < 1:
         raise ValueError("m must be at least 1, got %d" % m)
-    pos = _positions_from_uniforms(rate, np.random.default_rng([seed, stream]).random(m))
+    pos, bad = _positions_from_uniforms(rate, np.random.default_rng([seed, stream]).random(m))
+    if bad.any():
+        raise _range_error(rate, "", pos, bad)
     return SimulatedPath(positions=tuple(float(x) for x in pos), rate_used=rate, seed=int(seed))
 
 
@@ -160,19 +155,21 @@ def estimator_study(rate, m, n_replicates, seed, level=0.95):
     Replicate k uses the dedicated stream (seed, 2, k), so results are
     independent of execution order and of the other generators. All
     replicates run as one array pass over an (n_replicates, m + 1)
-    array of draws, with the float steps of ``fit_mle`` and
-    ``prediction_interval``, so the result equals a replicate-by-replicate
-    loop bit for bit. Memory is O(n_replicates * (m + 1)).
+    array of draws, through the private helpers that ``fit_mle`` and
+    ``prediction_interval`` also call, so the result equals a
+    replicate-by-replicate loop bit for bit. Memory is
+    O(n_replicates * (m + 1)).
 
     Raises
     ------
     ValueError
         If m < 2, n_replicates < 2 or level is outside (0, 1).
     NumericError
-        If a simulated position leaves the positive float range, if a
-        replicate's first m positions tie in floating point, or if a
-        fitted beta leaves the float range. The message names the first
-        offending replicate; position failures are looked for first.
+        If one of a replicate's m + 1 simulated positions leaves the
+        positive float range, if its first m positions tie in floating
+        point, or if its fitted beta leaves the float range. The message
+        names the first offending replicate and its first failure in
+        that order of checks.
     """
     if m < 2:
         raise ValueError("study needs m >= 2 to fit, got %d" % m)
@@ -183,29 +180,30 @@ def estimator_study(rate, m, n_replicates, seed, level=0.95):
     pos = np.empty((n_replicates, m + 1))
     for k, row in enumerate(pos):
         np.random.default_rng([seed, _STREAM_STUDY, k]).random(m + 1, out=row)
-    _positions_from_uniforms(rate, pos)
+    pos, bad = _positions_from_uniforms(rate, pos)
     tied = pos[:, 1:m] <= pos[:, :m - 1]
     alphas, betas = _mle_rows(pos[:, :m])
-    bad = np.flatnonzero(tied.any(axis=-1) | ~((0.0 < betas) & (betas < np.inf)))
-    if bad.size:
-        k = int(bad[0])
+    failed = bad.any(axis=-1) | tied.any(axis=-1) | ~((0.0 < betas) & (betas < np.inf))
+    if failed.any():
+        k = int(np.argmax(failed))
+        where = "replicate %d: " % k
+        if bad[k].any():
+            raise _range_error(rate, where, pos[k], bad[k])
         if tied[k].any():
             i = int(np.argmax(tied[k])) + 1
             raise NumericError(
-                "replicate %d: simulated positions %d and %d tie in floating point at "
-                "alpha=%r; the fit needs strictly increasing records" % (k, i, i + 1, rate.alpha)
+                "%ssimulated positions %d and %d tie in floating point at alpha=%r; "
+                "the fit needs strictly increasing records" % (where, i, i + 1, rate.alpha)
             )
-        raise NumericError("replicate %d: fitted beta %r left the float range; "
-                           "records nearly tied" % (k, float(betas[k])))
-    # Interval ends Lambda^{-1}(Lambda(r_m) + G^{-1}(p)) per replicate, by
-    # the float steps of cumulative_intensity and inverse_cumulative_intensity.
+        raise NumericError("%sfitted beta %r left the float range; records nearly tied"
+                           % (where, float(betas[k])))
+    # Interval ends Lambda^{-1}(Lambda(r_m) + G^{-1}(p)) per replicate.
     tail = (1.0 - level) / 2.0
     g_low, g_high = gamma_quantile(1.0, [tail, 1.0 - tail])
     with np.errstate(over="ignore"):
-        base = betas * np.exp(alphas * np.log(pos[:, m - 1]))
-        inv_alpha = 1.0 / alphas
-        low = np.exp(inv_alpha * np.log((base + g_low) / betas))
-        high = np.exp(inv_alpha * np.log((base + g_high) / betas))
+        base = _cumulative(alphas, betas, pos[:, m - 1])
+        low = _inverse(alphas, betas, base + g_low)
+        high = _inverse(alphas, betas, base + g_high)
     held_out = pos[:, m]
     hits = np.count_nonzero((low <= held_out) & (held_out <= high))
     return EstimatorStudy(

@@ -238,6 +238,15 @@ class TestEstimatorStudy:
         with pytest.raises(NumericError, match="replicate 412: fitted beta"):
             estimator_study(rate, 2, 413, 1)
 
+    def test_error_names_first_offending_replicate(self):
+        # at beta = 1e-308 the fitted beta of replicate 0 overflows and the
+        # positions of replicate 1 do; the loop stops at replicate 0 too
+        rate = PowerLawRate(5.0, 1e-308)
+        with pytest.raises(NumericError, match="fitted beta"):
+            reference_study(rate, 2, 2, 0)
+        with pytest.raises(NumericError, match="replicate 0: fitted beta"):
+            estimator_study(rate, 2, 2, 0)
+
     @pytest.mark.filterwarnings("error")
     def test_unrepresentable_positions_are_numeric_errors(self):
         # alpha = 1e-3 sends (S/beta)**1000 past the float range

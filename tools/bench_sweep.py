@@ -1,14 +1,14 @@
 """Paired benchmark sweep: a base revision against the working tree.
 
     python3 tools/bench_sweep.py --base <rev> --out BENCH_<n>.json \
-        --run calibration_study:1,2,3 --run segment_batch:1,2 [--seconds 20]
+        --run calibration_study:1,2,3 --run segment_batch:1,2
 
 Exports the committed files of ``--base`` with ``git archive`` into
 ``.bench_build/sweep/<commit>`` and, for every workload and seed named
-by ``--run``, runs ``perfbench/run.py --trace 0`` once in that export
-and once in this checkout. Runs are sequential, and the side that goes
-first alternates from pair to pair. ``--change <rev>`` benchmarks an
-export of that revision instead of the working tree.
+by ``--run``, runs ``perfbench/run.py --trace 0`` for the ``run_seconds`` of
+``BENCHMARK.json`` once in that export and once in this checkout. Runs
+are sequential, and the side that goes first alternates from pair to
+pair.
 
 The output file holds every run (its metrics, correctness and the
 environment ``run.py`` reports) and, per workload and end-to-end metric
@@ -19,6 +19,7 @@ library only.
 """
 
 import argparse
+import io
 import json
 import platform
 import statistics
@@ -45,11 +46,10 @@ def export(rev):
         target.mkdir(parents=True, exist_ok=True)
         archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
                                  check=True, capture_output=True).stdout
-        tar_path = target.parent / (commit + ".tar")
-        tar_path.write_bytes(archive)
-        with tarfile.open(tar_path) as tar:
-            tar.extractall(target, filter="data")
-        tar_path.unlink()
+        # extraction filters exist from Python 3.10.12 / 3.11.4 on
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(target, **safe)
     return {"rev": rev, "commit": commit, "dir": str(target.relative_to(ROOT))}
 
 
@@ -133,20 +133,15 @@ def parse_runs(specs):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of the baseline")
-    parser.add_argument("--change", help="git revision of the change (default: this tree)")
     parser.add_argument("--run", action="append", required=True,
                         help="<workload>:<seed>[,<seed>...]; repeatable")
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="run length (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--out", required=True, help="output JSON path")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
-    sides = {"base": export(args.base)}
-    sides["change"] = (export(args.change) if args.change else
-                       {"rev": "working tree", "commit": git("rev-parse", "HEAD"),
-                        "dir": "."})
+    seconds = bench["run_seconds"]
+    sides = {"base": export(args.base),
+             "change": {"rev": "working tree", "commit": git("rev-parse", "HEAD"), "dir": "."}}
     runs = []
     for pair, (workload, seed) in enumerate(parse_runs(args.run)):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
