@@ -61,7 +61,7 @@ def _power(t, p):
 
 
 def _cumulative(alpha, beta, t):
-    """Lambda(t) = beta * exp(alpha * log t) on a nonnegative float array.
+    """Lambda(t) by beta * exp(alpha * log t), for float or array t >= 0.
 
     The one place the float steps of Lambda live; alpha and beta may be
     arrays that broadcast against t. t == 0 gives exp(-inf) = 0 exactly.
@@ -71,7 +71,7 @@ def _cumulative(alpha, beta, t):
 
 
 def _inverse(alpha, beta, w, out=None):
-    """Lambda^{-1}(w) = exp((1 / alpha) * log(w / beta)) on a nonnegative float array.
+    """Lambda^{-1}(w) by exp((1 / alpha) * log(w / beta)), for array w >= 0.
 
     The one place the float steps of Lambda^{-1} live; alpha and beta may
     be arrays that broadcast against w. With ``out`` (which may be w) the
