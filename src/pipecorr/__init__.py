@@ -15,7 +15,6 @@ from .diagnostics import (
     KS_ESTIMATED_PARAMS_CAVEAT,
     exponential_transform,
     gof_report,
-    kolmogorov_survival,
     ks_exponential_test,
     ks_statistic_exponential,
     time_rescaling_increments,
@@ -37,23 +36,18 @@ from .inference import FittedModel, RecordSequence, fit_mle, sequential_fits
 from .model import (
     PowerLawRate,
     cumulative_intensity,
-    event_density,
     intensity_at,
     inverse_cumulative_intensity,
     log_likelihood,
-    survival,
 )
 from .numerics import (
     QuadratureResult,
     expectation_semi_infinite,
     fixed_order_expectation,
     gamma_quantile,
-    log_gamma,
 )
 from .simulation import (
     EstimatorStudy,
-    SimulatedPath,
-    count_at,
     estimator_study,
     simulate_first_m,
     simulate_records_from_iid,
@@ -77,15 +71,12 @@ __all__ = [
     "PredictionResult",
     "QuadratureResult",
     "RecordSequence",
-    "SimulatedPath",
     "backtest",
     "conditional_density",
-    "count_at",
     "cumulative_intensity",
     "demo_records",
     "density_curve",
     "estimator_study",
-    "event_density",
     "expectation_semi_infinite",
     "exponential_transform",
     "fit_mle",
@@ -95,10 +86,8 @@ __all__ = [
     "ingest_csv",
     "intensity_at",
     "inverse_cumulative_intensity",
-    "kolmogorov_survival",
     "ks_exponential_test",
     "ks_statistic_exponential",
-    "log_gamma",
     "log_likelihood",
     "predict",
     "predict_mean",
@@ -107,7 +96,6 @@ __all__ = [
     "sequential_fits",
     "simulate_first_m",
     "simulate_records_from_iid",
-    "survival",
     "time_rescaling_increments",
     "__version__",
 ]

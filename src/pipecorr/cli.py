@@ -24,10 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CORROSION_SURVEY_KM
 from .diagnostics import KS_ESTIMATED_PARAMS_CAVEAT, gof_report
 from .errors import DataValidationError, InsufficientDataError, NumericError
-from .forecast import PredictionQuery, backtest, density_curve, predict, predict_quantile
+from .forecast import (PredictionQuery, _equal_tails, backtest, density_curve, predict,
+                       predict_quantile)
 from .inference import RecordSequence, fit_mle
 from .model import PowerLawRate, intensity_at
 from .simulation import simulate_first_m
@@ -286,11 +286,17 @@ def _holdout_fit(records, holdout):
     return fit_mle(records.prefix(m))
 
 
+def _check_steps(steps):
+    if not 1 <= steps <= 2 ** 53:  # past 2**53 the gamma shape is not an exact float
+        raise UsageError("--steps must be between 1 and 2**53")
+
+
 def _cmd_predict(args, out):
-    if args.steps < 1:
-        raise UsageError("--steps must be at least 1")
-    if not 0.0 < args.level < 1.0:
-        raise UsageError("--level must be strictly between 0 and 1")
+    _check_steps(args.steps)
+    try:
+        _equal_tails(args.level)
+    except ValueError as exc:
+        raise UsageError("--level: %s" % exc)
     records = ingest_csv(args.data)
     fitted = _holdout_fit(records, args.holdout)
     result = predict(fitted, s=fitted.m + args.steps, level=args.level)
@@ -381,7 +387,11 @@ def _cmd_plot_data(args, out):
         if rate.alpha < 1 and args.t_min == 0:
             raise UsageError("--t-min must be positive when alpha < 1 (rate diverges at 0)")
         grid = np.linspace(args.t_min, args.t_max, args.points)
-        lam = intensity_at(rate, grid)
+        with np.errstate(all="ignore"):
+            lam = intensity_at(rate, grid)
+        if not np.isfinite(lam).all():
+            raise NumericError("rate at alpha=%r, beta=%r leaves the float range on [%r, %r]"
+                               % (rate.alpha, rate.beta, args.t_min, args.t_max))
         # --form plain drops the alpha factor, matching rate curves
         # published as beta * t**(alpha - 1).
         if args.form == "plain":
@@ -391,8 +401,7 @@ def _cmd_plot_data(args, out):
     else:
         records = ingest_csv(args.data)
         fitted = _holdout_fit(records, args.holdout)
-        if args.steps < 1:
-            raise UsageError("--steps must be at least 1")
+        _check_steps(args.steps)
         query = PredictionQuery(fitted=fitted, s=fitted.m + args.steps)
         y_min = fitted.r_m if args.y_min is None else args.y_min
         y_max = predict_quantile(query, 0.995) if args.y_max is None else args.y_max

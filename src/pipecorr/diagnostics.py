@@ -15,8 +15,9 @@ screening summary, not an exact significance.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from .errors import DataValidationError
+from .errors import DataValidationError, InsufficientDataError
 from .model import cumulative_intensity
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "time_rescaling_increments",
     "exponential_transform",
     "ks_statistic_exponential",
-    "kolmogorov_survival",
     "ks_exponential_test",
     "gof_report",
 ]
@@ -104,28 +104,6 @@ def ks_statistic_exponential(u):
     return float(max(d_plus, d_minus))
 
 
-def kolmogorov_survival(x):
-    """Survival function Q(x) of the Kolmogorov distribution.
-
-    For x >= 1.18 the alternating series 2 * sum (-1)**(j-1) exp(-2 j^2 x^2)
-    converges in a few terms; below that the theta-function dual form is
-    used, which converges fast exactly where the alternating series is
-    slow. Both agree to ~1e-15 at the switch point.
-    """
-    x = float(x)
-    if x <= 0.0:
-        return 1.0
-    if x < 1.18:
-        v = np.pi * np.pi / (8.0 * x * x)
-        j = np.arange(1, 21, 2)
-        cdf = np.sqrt(2.0 * np.pi) / x * np.sum(np.exp(-j * j * v))
-        return float(min(1.0, max(0.0, 1.0 - cdf)))
-    j = np.arange(1, 101)
-    terms = np.exp(-2.0 * j * j * x * x)
-    q = 2.0 * np.sum(np.where(j % 2 == 1, terms, -terms))
-    return float(min(1.0, max(0.0, q)))
-
-
 def ks_exponential_test(u):
     """KS test of a positive sample against the unit exponential.
 
@@ -135,17 +113,20 @@ def ks_exponential_test(u):
         The raw two-sided statistic D_n and the p-value obtained by the
         Stephens small-sample rescaling
         x = (sqrt(n) + 0.12 + 0.11 / sqrt(n)) * D_n
-        fed through the asymptotic Kolmogorov survival function.
+        fed through the asymptotic Kolmogorov survival function
+        ``scipy.special.kolmogorov``.
+
+    Raises InsufficientDataError below 3 values, DataValidationError on a value <= 0.
     """
     u = np.asarray(u, dtype=float)
     if u.size < 3:
-        raise ValueError("KS test needs at least 3 values, got %d" % u.size)
+        raise InsufficientDataError("KS test needs at least 3 values, got %d" % u.size)
     if np.any(u <= 0):
-        raise ValueError("exponential sample must be strictly positive")
+        raise DataValidationError("exponential sample must be strictly positive", code="nonpositive")
     d = ks_statistic_exponential(u)
     n = u.size
     x = (np.sqrt(n) + 0.12 + 0.11 / np.sqrt(n)) * d
-    return d, kolmogorov_survival(x)
+    return d, float(special.kolmogorov(x))
 
 
 def gof_report(records, fitted, method="increments"):

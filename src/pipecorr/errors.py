@@ -9,7 +9,8 @@ class DataValidationError(ValueError):
     ``missing-file``, ``bad-encoding``, ``bad-header``, ``malformed-row``
     and ``malformed-number`` from CSV parsing; ``empty``, ``nonpositive``,
     ``duplicate`` (a tie) and ``non-increasing`` (a decrease) from
-    ``RecordSequence``; ``insufficient-data``; ``fit-data-mismatch``
+    ``RecordSequence`` (``nonpositive`` also from a KS sample, where
+    near-tied records round a rescaled gap to 0); ``insufficient-data``; ``fit-data-mismatch``
     (records and fit disagree); and the default ``invalid-data``.
     """
 
@@ -27,8 +28,9 @@ class InsufficientDataError(DataValidationError):
 
 
 class NumericError(ArithmeticError):
-    """Raised when an iterative numeric routine fails to converge, or
-    when near-tied records push a fitted beta out of the float range.
+    """Raised when a numeric routine fails to converge or leaves the float
+    range: near-tied records push a fitted beta out of it, a simulated
+    position leaves it or ties, or a rate curve overflows.
 
     ``last_estimate`` and ``previous_estimate`` hold the final two
     iterates of a failed quadrature so callers can judge how bad the

@@ -14,11 +14,12 @@ numerics exact-in-distribution rather than grid-based.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import InsufficientDataError
 from .inference import fit_mle
 from .model import cumulative_intensity, intensity_at, inverse_cumulative_intensity
-from .numerics import expectation_semi_infinite, gamma_quantile, log_gamma
+from .numerics import expectation_semi_infinite, gamma_quantile
 
 __all__ = [
     "PredictionQuery",
@@ -90,15 +91,16 @@ def conditional_density(query, y):
     sup = y_arr > query.r_m
     if np.any(sup):
         ys = y_arr[sup]
-        delta = cumulative_intensity(rate, ys) - cumulative_intensity(rate, query.r_m)
-        log_lam = np.log(intensity_at(rate, ys))
-        if k == 1:
-            log_f = log_lam - delta
-        else:
-            with np.errstate(divide="ignore"):
-                log_f = (k - 1) * np.log(delta) - log_gamma(float(k)) + log_lam - delta
-            log_f = np.where(delta > 0, log_f, -np.inf)
-        out[sup] = np.exp(log_f)
+        with np.errstate(all="ignore"):
+            delta = cumulative_intensity(rate, ys) - cumulative_intensity(rate, query.r_m)
+            log_lam = np.log(intensity_at(rate, ys))
+            if k == 1:
+                log_f = log_lam - delta
+            else:
+                log_f = (k - 1) * np.log(delta) - special.gammaln(float(k)) + log_lam - delta
+                log_f = np.where(delta > 0, log_f, -np.inf)
+        # Where Lambda(y) overflows, exp(-delta) and so the density are 0.
+        out[sup] = np.exp(np.where(delta < np.inf, log_f, -np.inf))
     return float(out[0]) if np.ndim(y) == 0 else out
 
 
@@ -138,12 +140,19 @@ def predict_quantile(query, p):
     return inverse_cumulative_intensity(rate, w)
 
 
+def _equal_tails(level):
+    """Tails (tail, 1 - tail) of an equal-tail interval; the one check of a level."""
+    tail = (1.0 - level) / 2.0
+    if not (0.0 < level < 1.0 and 1.0 - tail < 1.0):
+        raise ValueError("coverage level must be in (0, 1) and leave an upper tail "
+                         "below 1 in floating point, got %r" % (level,))
+    return tail, 1.0 - tail
+
+
 def prediction_interval(query, level=0.95):
     """Equal-tail interval for T_s at the given coverage level."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("coverage level must be in (0, 1), got %r" % (level,))
-    tail = (1.0 - level) / 2.0
-    return predict_quantile(query, tail), predict_quantile(query, 1.0 - tail)
+    low, high = _equal_tails(level)
+    return predict_quantile(query, low), predict_quantile(query, high)
 
 
 def predict(fitted, s=None, level=0.95):

@@ -21,8 +21,6 @@ __all__ = [
     "intensity_at",
     "cumulative_intensity",
     "inverse_cumulative_intensity",
-    "survival",
-    "event_density",
     "log_likelihood",
 ]
 
@@ -46,25 +44,12 @@ class PowerLawRate:
             raise ValueError("beta must be a positive finite number, got %r" % (self.beta,))
 
 
-def _power(t, p):
-    """t ** p on a nonnegative float array via exp(p * log t).
-
-    The t == 0 entries are handled explicitly: 0**0 = 1 and 0**p = 0 for
-    p > 0. Callers must rule out t == 0 with p < 0 beforehand.
-    """
-    if p == 0:
-        return np.ones_like(t)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(p * np.log(t[pos]))
-    return out
-
-
 def _cumulative(alpha, beta, t):
     """Lambda(t) by beta * exp(alpha * log t), for float or array t >= 0.
 
-    The one place the float steps of Lambda live; alpha and beta may be
-    arrays that broadcast against t. t == 0 gives exp(-inf) = 0 exactly.
+    The one place the float steps of Lambda (and of the power law lambda)
+    live; alpha and beta may be arrays that broadcast against t. t == 0
+    gives exp(-inf) = 0 exactly for alpha > 0.
     """
     with np.errstate(divide="ignore"):
         return beta * np.exp(alpha * np.log(t))
@@ -108,8 +93,10 @@ def intensity_at(rate, t):
     t_arr = _positions(t)
     if rate.alpha < 1 and np.any(t_arr == 0):
         raise ValueError("intensity diverges at t = 0 for alpha < 1")
-    out = rate.alpha * rate.beta * _power(t_arr, rate.alpha - 1.0)
-    return _unwrap(out, t)
+    if rate.alpha == 1:  # constant, also at t = 0 where t**0 is 1
+        return _unwrap(np.full_like(t_arr, rate.beta), t)
+    # lambda is itself a power law: (alpha * beta) * t**(alpha - 1).
+    return _unwrap(_cumulative(rate.alpha - 1.0, rate.alpha * rate.beta, t_arr), t)
 
 
 def cumulative_intensity(rate, t):
@@ -126,25 +113,6 @@ def inverse_cumulative_intensity(rate, w):
     """
     out = _inverse(rate.alpha, rate.beta, _positions(w, name="w"))
     return _unwrap(out, w)
-
-
-def survival(rate, t):
-    """P(no event in [0, t]) = exp(-Lambda(t)).
-
-    Under the record-value reading this is one minus the underlying
-    i.i.d. distribution function.
-    """
-    out = np.exp(-_cumulative(rate.alpha, rate.beta, _positions(t)))
-    return _unwrap(out, t)
-
-
-def event_density(rate, t):
-    """Density of the first event position, lambda(t) * exp(-Lambda(t)).
-
-    Same domain rules as ``intensity_at``: t = 0 is rejected when
-    alpha < 1.
-    """
-    return intensity_at(rate, t) * survival(rate, t)
 
 
 def log_likelihood(rate, records):

@@ -6,6 +6,7 @@ form E[g(W)] with W ~ Gamma(k, 1), so the quadrature routine here is
 the single place where prediction accuracy is controlled.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,6 @@ from .errors import NumericError
 
 __all__ = [
     "QuadratureResult",
-    "log_gamma",
     "gamma_quantile",
     "fixed_order_expectation",
     "expectation_semi_infinite",
@@ -26,8 +26,9 @@ _ABS_TOL = 1e-10
 
 # Escalation ladder for expectation_semi_infinite. Generalized
 # Gauss-Laguerre converges geometrically for the smooth integrands
-# produced by the forecast module, so a short ladder suffices.
-_ORDERS = (16, 32, 64, 128, 256, 384)
+# produced by the forecast module, so a short ladder suffices. It stops
+# at 256: scipy's order-384 rule overflows at every shape.
+_ORDERS = (16, 32, 64, 128, 256)
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,6 @@ class QuadratureResult:
     converged: bool
 
 
-def log_gamma(a):
-    """Natural log of the gamma function for a > 0."""
-    a_arr = np.atleast_1d(np.asarray(a, dtype=float))
-    if np.any(a_arr <= 0):
-        raise ValueError("log_gamma requires a > 0, got %r" % (a,))
-    out = special.gammaln(a_arr)
-    return float(out[0]) if np.ndim(a) == 0 else out
-
-
 def gamma_quantile(k, p):
     """Quantile of Gamma(k, 1): the inverse in x of the regularized P(k, x).
 
@@ -82,13 +74,22 @@ def fixed_order_expectation(integrand, shape, order):
     order n is exact whenever g is a polynomial of degree <= 2n - 1. The
     node weights are normalized by Gamma(shape) to make the rule an
     expectation rather than a bare integral.
+
+    Float warnings are silenced; a non-finite estimate (Gamma(shape) or the
+    weighted sum overflowed) raises ``NumericError`` naming order and shape.
     """
     if shape <= 0:
         raise ValueError("shape must be positive, got %g" % shape)
-    nodes, weights = special.roots_genlaguerre(order, shape - 1.0)
-    # A constant integrand may return a scalar; broadcast it over the nodes.
-    vals = np.broadcast_to(integrand(nodes), nodes.shape)
-    return float(np.sum(weights * vals)) / np.exp(log_gamma(shape))
+    with np.errstate(all="ignore"):
+        nodes, weights = special.roots_genlaguerre(order, shape - 1.0)
+        # A constant integrand may return a scalar; broadcast it over the nodes.
+        vals = np.broadcast_to(integrand(nodes), nodes.shape)
+        norm = np.exp(special.gammaln(shape))
+        value = float(np.sum(weights * vals)) / norm
+    if not (math.isfinite(value) and norm < np.inf):
+        raise NumericError("gamma-weighted quadrature of order %d is not finite at shape %r"
+                           % (order, shape))
+    return value
 
 
 def expectation_semi_infinite(integrand, shape):

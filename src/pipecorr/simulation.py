@@ -20,16 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
+from .forecast import _equal_tails
 from .inference import RecordSequence, _mle_rows
 from .model import _cumulative, _inverse
 from .numerics import gamma_quantile
 
 __all__ = [
-    "SimulatedPath",
     "EstimatorStudy",
     "simulate_first_m",
     "simulate_records_from_iid",
-    "count_at",
     "estimator_study",
 ]
 
@@ -38,33 +37,15 @@ _STREAM_RECORDS = 1
 _STREAM_STUDY = 2
 
 
-@dataclass(frozen=True)
-class SimulatedPath:
-    """First m event positions from one simulated path."""
-
-    positions: tuple
-    rate_used: object
-    seed: int
-
-    def __len__(self):
-        return len(self.positions)
-
-    def as_array(self):
-        return np.asarray(self.positions, dtype=float)
-
-    def as_records(self):
-        """View the path as a RecordSequence ready for fitting."""
-        return RecordSequence(self.positions)
-
-
 def _positions_from_uniforms(rate, u):
     """Turn uniforms u into positions in place, one path per row.
 
     The inversion of the module docstring along the last axis: unit
     exponentials -log1p(-U) (full precision for tiny U, unlike
     -log(1 - U)), their partial sums S, then Lambda^{-1}(S) through
-    ``model._inverse``. Returns u and the mask of positions that are not
-    finite positive floats (Lambda^{-1} overflowed or underflowed).
+    ``model._inverse``. Returns u, the mask of positions that are not
+    finite positive floats (Lambda^{-1} overflowed or underflowed) and the
+    mask of positions 2, 3, ... tied with (not above) their predecessor.
     """
     with np.errstate(over="ignore"):
         np.negative(u, out=u)
@@ -72,33 +53,42 @@ def _positions_from_uniforms(rate, u):
         np.negative(u, out=u)
         np.cumsum(u, axis=-1, out=u)
         _inverse(rate.alpha, rate.beta, u, out=u)
-    return u, ~(np.isfinite(u) & (u > 0))
+    return u, ~(np.isfinite(u) & (u > 0)), u[..., 1:] <= u[..., :-1]
 
 
-def _range_error(rate, where, pos, bad):
-    i = int(np.argmax(bad))
+def _sample_error(rate, where, pos, bad, tied):
+    """NumericError for the first failure of one path: range, then tie."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        return NumericError(
+            "%ssimulated position %d is %r, outside the positive float range at alpha=%r, beta=%r"
+            % (where, i + 1, float(pos[i]), rate.alpha, rate.beta)
+        )
+    i = int(np.argmax(tied)) + 1
     return NumericError(
-        "%ssimulated position %d is %r, outside the positive float range at alpha=%r, beta=%r"
-        % (where, i + 1, float(pos[i]), rate.alpha, rate.beta)
+        "%ssimulated positions %d and %d tie in floating point at alpha=%r; "
+        "the fit needs strictly increasing records" % (where, i, i + 1, rate.alpha)
     )
 
 
-def _simulate(rate, m, seed, stream):
+def _simulate(rate, m, seed, stream, generator):
     if m < 1:
         raise ValueError("m must be at least 1, got %d" % m)
-    pos, bad = _positions_from_uniforms(rate, np.random.default_rng([seed, stream]).random(m))
-    if bad.any():
-        raise _range_error(rate, "", pos, bad)
-    return SimulatedPath(positions=tuple(float(x) for x in pos), rate_used=rate, seed=int(seed))
+    pos, bad, tied = _positions_from_uniforms(rate, np.random.default_rng([seed, stream]).random(m))
+    if bad.any() or tied.any():
+        raise _sample_error(rate, "", pos, bad, tied)
+    return RecordSequence(pos, label="%s seed %d" % (generator, seed))
 
 
 def simulate_first_m(rate, m, seed):
     """Simulate the first m event positions of the power-law process.
 
     Exact (inversion of the cumulative rate, no thinning or
-    discretization) and deterministic given (rate, m, seed).
+    discretization) and deterministic given (rate, m, seed). Returns a
+    RecordSequence labelled with generator and seed; raises NumericError
+    if a position leaves the positive float range or ties in floating point.
     """
-    return _simulate(rate, m, seed, _STREAM_PROCESS)
+    return _simulate(rate, m, seed, _STREAM_PROCESS, "simulate_first_m")
 
 
 def simulate_records_from_iid(rate, m, seed):
@@ -107,17 +97,11 @@ def simulate_records_from_iid(rate, m, seed):
     The i.i.d. distribution is the one whose integrated hazard is the
     cumulative rate of ``rate`` (survival exp(-beta t**alpha)). By the
     record/process equivalence the output law equals that of
-    ``simulate_first_m``; the draw stream is split differently so the
-    two generators are independent at equal seed.
+    ``simulate_first_m``, which it matches in what it returns and raises;
+    the draw stream is split differently so the two generators are
+    independent at equal seed.
     """
-    return _simulate(rate, m, seed, _STREAM_RECORDS)
-
-
-def count_at(path, t):
-    """Number of simulated events at or before position t."""
-    if not np.isfinite(t) or t < 0:
-        raise ValueError("t must be finite and nonnegative, got %r" % (t,))
-    return int(np.searchsorted(path.as_array(), t, side="right"))
+    return _simulate(rate, m, seed, _STREAM_RECORDS, "simulate_records_from_iid")
 
 
 @dataclass(frozen=True)
@@ -129,6 +113,7 @@ class EstimatorStudy:
     first m. ``alpha_stderr`` is the Monte-Carlo standard error of
     ``alpha_mean``; report it alongside the mean because the MLE of
     alpha is biased upward by roughly m / (m - 2) at small m.
+    ``beta_std`` is inf when the fitted betas are too large to square.
     """
 
     m: int
@@ -163,7 +148,8 @@ def estimator_study(rate, m, n_replicates, seed, level=0.95):
     Raises
     ------
     ValueError
-        If m < 2, n_replicates < 2 or level is outside (0, 1).
+        If m < 2, n_replicates < 2, or level is outside (0, 1) or so
+        close to 1 that its upper tail rounds to 1.
     NumericError
         If one of a replicate's m + 1 simulated positions leaves the
         positive float range, if its first m positions tie in floating
@@ -175,48 +161,44 @@ def estimator_study(rate, m, n_replicates, seed, level=0.95):
         raise ValueError("study needs m >= 2 to fit, got %d" % m)
     if n_replicates < 2:
         raise ValueError("n_replicates must be at least 2, got %d" % n_replicates)
-    if not 0.0 < level < 1.0:
-        raise ValueError("coverage level must be in (0, 1), got %r" % (level,))
+    tails = _equal_tails(level)
     pos = np.empty((n_replicates, m + 1))
     for k, row in enumerate(pos):
         np.random.default_rng([seed, _STREAM_STUDY, k]).random(m + 1, out=row)
-    pos, bad = _positions_from_uniforms(rate, pos)
-    tied = pos[:, 1:m] <= pos[:, :m - 1]
+    pos, bad, tied = _positions_from_uniforms(rate, pos)
+    # Only the first m positions are fitted, so only they must not tie.
+    tied = tied[:, :m - 1]
     alphas, betas = _mle_rows(pos[:, :m])
-    failed = bad.any(axis=-1) | tied.any(axis=-1) | ~((0.0 < betas) & (betas < np.inf))
+    sampled = bad.any(axis=-1) | tied.any(axis=-1)
+    failed = sampled | ~((0.0 < betas) & (betas < np.inf))
     if failed.any():
         k = int(np.argmax(failed))
         where = "replicate %d: " % k
-        if bad[k].any():
-            raise _range_error(rate, where, pos[k], bad[k])
-        if tied[k].any():
-            i = int(np.argmax(tied[k])) + 1
-            raise NumericError(
-                "%ssimulated positions %d and %d tie in floating point at alpha=%r; "
-                "the fit needs strictly increasing records" % (where, i, i + 1, rate.alpha)
-            )
+        if sampled[k]:
+            raise _sample_error(rate, where, pos[k], bad[k], tied[k])
         raise NumericError("%sfitted beta %r left the float range; records nearly tied"
                            % (where, float(betas[k])))
     # Interval ends Lambda^{-1}(Lambda(r_m) + G^{-1}(p)) per replicate.
-    tail = (1.0 - level) / 2.0
-    g_low, g_high = gamma_quantile(1.0, [tail, 1.0 - tail])
+    g_low, g_high = gamma_quantile(1.0, tails)
     with np.errstate(over="ignore"):
         base = _cumulative(alphas, betas, pos[:, m - 1])
         low = _inverse(alphas, betas, base + g_low)
         high = _inverse(alphas, betas, base + g_high)
     held_out = pos[:, m]
     hits = np.count_nonzero((low <= held_out) & (held_out <= high))
-    return EstimatorStudy(
-        m=int(m),
-        n_replicates=int(n_replicates),
-        seed=int(seed),
-        level=float(level),
-        alpha_mean=float(np.mean(alphas)),
-        alpha_median=float(np.median(alphas)),
-        alpha_std=float(np.std(alphas, ddof=1)),
-        alpha_stderr=float(np.std(alphas, ddof=1) / np.sqrt(n_replicates)),
-        beta_mean=float(np.mean(betas)),
-        beta_median=float(np.median(betas)),
-        beta_std=float(np.std(betas, ddof=1)),
-        coverage=hits / n_replicates,
-    )
+    # Betas near the float limit overflow in np.std's squares; beta_std is then inf.
+    with np.errstate(over="ignore"):
+        return EstimatorStudy(
+            m=int(m),
+            n_replicates=int(n_replicates),
+            seed=int(seed),
+            level=float(level),
+            alpha_mean=float(np.mean(alphas)),
+            alpha_median=float(np.median(alphas)),
+            alpha_std=float(np.std(alphas, ddof=1)),
+            alpha_stderr=float(np.std(alphas, ddof=1) / np.sqrt(n_replicates)),
+            beta_mean=float(np.mean(betas)),
+            beta_median=float(np.median(betas)),
+            beta_std=float(np.std(betas, ddof=1)),
+            coverage=hits / n_replicates,
+        )

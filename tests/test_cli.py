@@ -329,6 +329,14 @@ class TestErrorChannel:
         assert err.count("\n") == 1
         assert ERROR_LINE.match(err.strip()), err
 
+    def test_gap_rounding_to_zero_exits_3(self, write_csv):
+        # at alpha_hat ~ 0.1 the first two records map to one float of Lambda
+        code, out, err = run_cli(["gof", write_csv([1.0, 1.0000000000000002, 5, 100, 1e6])])
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "code=nonpositive" in err
+
     @pytest.mark.filterwarnings("error")
     def test_simulated_overflow_exits_4(self):
         code, out, err = run_cli(["simulate", "--alpha", "1e-3", "--beta", "1", "--m", "5", "--seed", "1"])
@@ -367,3 +375,95 @@ class TestReportSchema:
         _, first, _ = run_cli(argv)
         _, second, _ = run_cli(argv)
         assert first == second
+
+
+# One-line failures for inputs that once printed a traceback, a raw
+# numpy/scipy warning or a misleading success.
+REPROS = [
+    (["predict", "{survey}", "--steps", "171"], 4),
+    (["predict", "{survey}", "--steps", "500"], 4),
+    (["predict", "{survey}", "--level", "0.9999999999999999"], 2),
+    (["plot-data", "rate", "--alpha", "200", "--beta", "1", "--t-max", "100"], 4),
+    (["plot-data", "rate", "--alpha", "1e300", "--beta", "1e300", "--t-max", "100"], 4),
+    (["simulate", "--alpha", "1e15", "--beta", "1", "--m", "5", "--seed", "1"], 4),
+    (["gof", "{survey}", "--holdout", "16"], 3),
+    (["gof", "{survey}", "--holdout", "15", "--method", "log-ratio"], 3),
+]
+
+FLOATS = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e-8", "0.5", "3", "1e15",
+          "1e300", "1.7976931348623157e308"]
+INTS = ["0", "-1", "1", "2", "17", "171", "1" + "0" * 30, "1" + "0" * 400]
+SMALL_INTS = ["0", "-1", "1", "2", "1000"]  # --m and --points: no large allocations
+LEVELS = FLOATS + ["0.95", "0.9999999999999999", "0.9999999999999998", "1"]
+
+# Each subcommand with valid flags, and the values each flag is swept over,
+# one flag at a time.
+BASES = {
+    "fit": (["fit", "{survey}"], {}),
+    "predict": (
+        ["predict", "{survey}", "--steps", "1", "--level", "0.95", "--holdout", "1"],
+        {"--steps": INTS, "--level": LEVELS, "--holdout": INTS},
+    ),
+    "gof": (["gof", "{survey}", "--holdout", "1"], {"--holdout": INTS}),
+    "gof-log-ratio": (
+        ["gof", "{survey}", "--holdout", "1", "--method", "log-ratio"], {"--holdout": INTS}
+    ),
+    "backtest": (["backtest", "{survey}"], {}),
+    "simulate": (
+        ["simulate", "--alpha", "1.2", "--beta", "0.17", "--m", "50", "--seed", "1"],
+        {"--alpha": FLOATS, "--beta": FLOATS, "--m": SMALL_INTS, "--seed": INTS},
+    ),
+    "rate": (
+        ["plot-data", "rate", "--alpha", "1.2", "--beta", "0.17", "--t-min", "1",
+         "--t-max", "60", "--points", "50"],
+        {"--alpha": FLOATS, "--beta": FLOATS, "--t-min": FLOATS, "--t-max": FLOATS,
+         "--points": SMALL_INTS},
+    ),
+    "rate-plain": (
+        ["plot-data", "rate", "--alpha", "1.2", "--beta", "0.17", "--t-max", "60",
+         "--points", "50", "--form", "plain"],
+        {"--alpha": FLOATS, "--beta": FLOATS},
+    ),
+    "density": (
+        ["plot-data", "density", "{survey}", "--holdout", "1", "--steps", "2", "--y-min", "51",
+         "--y-max", "80", "--points", "50"],
+        {"--holdout": INTS, "--steps": INTS, "--y-min": FLOATS, "--y-max": FLOATS,
+         "--points": SMALL_INTS},
+    ),
+}
+
+
+def fuzz_grid():
+    for name, (base, sweeps) in BASES.items():
+        yield pytest.param(base, id=name)
+        for flag, values in sweeps.items():
+            i = base.index(flag) + 1
+            for value in values:
+                shown = value if len(value) < 25 else "1e%d" % (len(value) - 1)
+                yield pytest.param(base[:i] + [value] + base[i + 1:],
+                                   id="%s %s=%s" % (name, flag, shown))
+
+
+def assert_clean_outcome(code, out, err):
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("pipecorr: error["), err
+        assert ERROR_LINE.match(err.strip()), err
+
+
+class TestFuzz:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, code", REPROS,
+                             ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+    def test_repro_fails_in_one_line(self, argv, code, survey_csv):
+        result = run_cli([a.format(survey=survey_csv) for a in argv])
+        assert_clean_outcome(*result)
+        assert result[0] == code
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", fuzz_grid())
+    def test_exit_code_and_single_error_line(self, argv, survey_csv):
+        assert_clean_outcome(*run_cli([a.format(survey=survey_csv) for a in argv]))

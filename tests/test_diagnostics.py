@@ -5,16 +5,43 @@ from scipy import special, stats
 from pipecorr import (
     DataValidationError,
     FittedModel,
+    InsufficientDataError,
     PowerLawRate,
     cumulative_intensity,
     exponential_transform,
     gof_report,
-    kolmogorov_survival,
     ks_exponential_test,
     ks_statistic_exponential,
     time_rescaling_increments,
 )
 from conftest import ORACLE_KS_D_17, ORACLE_KS_P_17
+
+
+def kolmogorov_survival(x):
+    """Oracle: survival function Q(x) of the Kolmogorov distribution.
+
+    For x >= 1.18 the alternating series 2 * sum (-1)**(j-1) exp(-2 j^2 x^2)
+    converges in a few terms; below that the theta-function dual form is
+    used, which converges fast exactly where the alternating series is
+    slow. Both agree to ~1e-15 at the switch point.
+    """
+    x = float(x)
+    if x <= 0.0:
+        return 1.0
+    if x < 1.18:
+        v = np.pi * np.pi / (8.0 * x * x)
+        j = np.arange(1, 21, 2)
+        cdf = np.sqrt(2.0 * np.pi) / x * np.sum(np.exp(-j * j * v))
+        return float(min(1.0, max(0.0, 1.0 - cdf)))
+    j = np.arange(1, 101)
+    terms = np.exp(-2.0 * j * j * x * x)
+    q = 2.0 * np.sum(np.where(j % 2 == 1, terms, -terms))
+    return float(min(1.0, max(0.0, q)))
+
+
+def stephens_x(u):
+    n = len(u)
+    return (np.sqrt(n) + 0.12 + 0.11 / np.sqrt(n)) * ks_statistic_exponential(u)
 
 
 class TestExponentialTransform:
@@ -89,20 +116,28 @@ class TestKsStatistic:
 
 
 class TestKolmogorovSurvival:
+    """The p-value path, checked against the two-form series oracle."""
+
     def test_against_scipy_grid(self):
-        xs = np.concatenate([np.linspace(0.05, 1.17, 40), np.linspace(1.18, 4.0, 40)])
+        xs = np.concatenate([np.linspace(0.01, 1.17, 2500), np.linspace(1.18, 5.0, 2500)])
         for x in xs:
-            assert abs(kolmogorov_survival(x) - special.kolmogorov(x)) <= 1e-12
+            assert abs(kolmogorov_survival(x) - special.kolmogorov(x)) <= 1e-14
 
     def test_edges(self):
-        assert kolmogorov_survival(0.0) == 1.0
-        assert kolmogorov_survival(-3.0) == 1.0
+        # a perfect fit gives D = 1/(2n), a small x and a p-value near 1;
+        # a sample far from Exp(1) gives a large x and a p-value near 0
+        rng = np.random.default_rng(8)
+        for u in (-np.log1p(-(np.arange(1, 41) - 0.5) / 40), rng.uniform(5.0, 6.0, size=50)):
+            _, p = ks_exponential_test(u)
+            assert abs(p - kolmogorov_survival(stephens_x(u))) <= 1e-14
+        assert kolmogorov_survival(0.0) == 1.0 == special.kolmogorov(0.0)
         assert kolmogorov_survival(8.0) < 1e-50
 
     def test_monotone(self):
         xs = np.linspace(0.01, 3.0, 300)
-        vals = [kolmogorov_survival(x) for x in xs]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
+        for q in (kolmogorov_survival, special.kolmogorov):
+            vals = [q(x) for x in xs]
+            assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 class TestKsExponentialTest:
@@ -118,7 +153,8 @@ class TestKsExponentialTest:
         d, p = ks_exponential_test(u)
         n = 25
         x = (np.sqrt(n) + 0.12 + 0.11 / np.sqrt(n)) * d
-        assert p == kolmogorov_survival(x)
+        assert p == special.kolmogorov(x)
+        assert abs(p - kolmogorov_survival(x)) <= 1e-14
 
     def test_null_p_values_roughly_uniform(self):
         # calibration under the null: p-values of Exp(1) samples should
@@ -134,10 +170,12 @@ class TestKsExponentialTest:
         assert abs(np.mean(ps) - 0.5) < 0.05
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientDataError, match="at least 3 values"):
             ks_exponential_test(np.array([0.1, 0.2]))
         with pytest.raises(ValueError):
             ks_exponential_test(np.array([0.5, -0.1, 1.0]))
+        with pytest.raises(DataValidationError, match="strictly positive"):
+            ks_exponential_test(np.array([0.5, 0.0, 1.0]))
 
     def test_detects_non_exponential(self):
         rng = np.random.default_rng(11)
@@ -164,8 +202,7 @@ class TestGofReport:
         # a path actually drawn from the model should not be rejected
         from pipecorr import fit_mle, simulate_first_m
 
-        path = simulate_first_m(PowerLawRate(1.3, 0.25), 60, seed=5)
-        records = path.as_records()
+        records = simulate_first_m(PowerLawRate(1.3, 0.25), 60, seed=5)
         fitted = fit_mle(records)
         rep = gof_report(records, fitted)
         assert rep.p_value > 0.05

@@ -148,6 +148,15 @@ class TestPredictionInterval:
         with pytest.raises(ValueError):
             prediction_interval(query18, level=1.0)
 
+    def test_level_whose_tail_rounds_away(self, query18, fit17):
+        # 1 - (1 - level) / 2 rounds to 1.0 here; the last level below it works
+        with pytest.raises(ValueError, match="upper tail"):
+            prediction_interval(query18, level=0.9999999999999999)
+        with pytest.raises(ValueError, match="upper tail"):
+            predict(fit17, level=0.9999999999999999)
+        low, high = prediction_interval(query18, level=0.9999999999999998)
+        assert low < high < np.inf
+
 
 class TestPredict:
     def test_summary_ordering(self, survey):

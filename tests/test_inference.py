@@ -155,5 +155,5 @@ class TestEstimatorBias:
         alphas = np.empty(10_000)
         for k in range(alphas.size):
             path = simulate_first_m(rate, m, seed=rng_seed + k)
-            alphas[k] = fit_mle(path.as_records()).rate.alpha
+            alphas[k] = fit_mle(path).rate.alpha
         assert abs(np.mean(alphas) - 1.35) <= 0.02

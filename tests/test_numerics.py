@@ -10,34 +10,7 @@ from pipecorr import (
     expectation_semi_infinite,
     fixed_order_expectation,
     gamma_quantile,
-    log_gamma,
 )
-
-
-class TestLogGamma:
-    def test_integer_anchors(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-        assert np.isclose(log_gamma(5.0), math.log(24.0), rtol=1e-14)
-
-    def test_against_multiprecision(self):
-        # independent high-precision reference
-        mpmath.mp.dps = 40
-        for a in (0.3, 1.0, 2.5, 7.3, 41.0):
-            ref = float(mpmath.loggamma(a))
-            assert abs(log_gamma(a) - ref) <= 1e-12 * max(1.0, abs(ref))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-1.5)
-
-    def test_vectorized(self):
-        a = np.array([1.0, 2.0, 7.3])
-        out = log_gamma(a)
-        assert out.shape == (3,)
-        assert np.allclose(out, [log_gamma(x) for x in a], rtol=1e-15)
 
 
 class TestGammaQuantile:
@@ -134,3 +107,26 @@ class TestFixedOrderExpectation:
                 exact *= k + i
             assert np.isclose(moment, exact, rtol=1e-11)
 
+
+    def test_large_shape_against_multiprecision(self):
+        # E[sqrt(W)] = Gamma(k + 1/2) / Gamma(k), up to where Gamma(k) is
+        # still a float; checks the Gamma(shape) normalization
+        mpmath.mp.dps = 40
+        for k in (20.0, 150.0, 170.0):
+            ref = float(mpmath.gamma(k + 0.5) / mpmath.gamma(k))
+            assert np.isclose(fixed_order_expectation(np.sqrt, k, 64), ref, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [171.0, 172.0, 500.0])
+    def test_non_finite_rule_is_numeric_error(self, shape):
+        # the weights sum past the float range at 171; Gamma(shape)
+        # itself overflows from 171.6 on
+        with pytest.raises(NumericError, match="shape %r" % shape):
+            fixed_order_expectation(lambda w: w, shape, 16)
+        with pytest.raises(NumericError, match="shape %r" % shape):
+            expectation_semi_infinite(lambda w: w, shape)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_integrand_is_numeric_error(self):
+        with pytest.raises(NumericError, match="order 16 is not finite"):
+            fixed_order_expectation(lambda w: np.exp(w * 1e3), 2.0, 16)
