@@ -44,7 +44,6 @@ from .numerics import (
     QuadratureResult,
     expectation_semi_infinite,
     fixed_order_expectation,
-    gamma_quantile,
 )
 from .simulation import (
     EstimatorStudy,
@@ -81,7 +80,6 @@ __all__ = [
     "exponential_transform",
     "fit_mle",
     "fixed_order_expectation",
-    "gamma_quantile",
     "gof_report",
     "ingest_csv",
     "intensity_at",

@@ -148,10 +148,16 @@ class AnalysisReport:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise DataValidationError("report must be a JSON object, got %s" % type(d).__name__)
         d = dict(d)
         version = d.pop("schema_version", None)
         if version != 1:
             raise DataValidationError("unsupported schema_version %r" % (version,))
+        unknown, missing = sorted(set(d) - {f.name for f in fields(cls)}), {"command"} - set(d)
+        if unknown or missing:
+            raise DataValidationError("report has unknown keys %s, missing keys %s"
+                                      % (unknown, sorted(missing)))
         d["warnings"] = tuple(d.get("warnings", ()))
         return cls(**d)
 

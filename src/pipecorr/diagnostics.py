@@ -116,13 +116,15 @@ def ks_exponential_test(u):
         fed through the asymptotic Kolmogorov survival function
         ``scipy.special.kolmogorov``.
 
-    Raises InsufficientDataError below 3 values, DataValidationError on a value <= 0.
+    Raises InsufficientDataError below 3 values, DataValidationError on a value
+    <= 0 or not finite.
     """
     u = np.asarray(u, dtype=float)
     if u.size < 3:
         raise InsufficientDataError("KS test needs at least 3 values, got %d" % u.size)
-    if np.any(u <= 0):
-        raise DataValidationError("exponential sample must be strictly positive", code="nonpositive")
+    if not np.all((u > 0) & (u < np.inf)):
+        raise DataValidationError("exponential sample must be strictly positive and finite",
+                                  code="nonpositive")
     d = ks_statistic_exponential(u)
     n = u.size
     x = (np.sqrt(n) + 0.12 + 0.11 / np.sqrt(n)) * d

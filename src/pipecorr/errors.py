@@ -4,14 +4,14 @@
 class DataValidationError(ValueError):
     """Raised when input data violate the record-sequence contract.
 
-    Carries a short machine-readable ``code`` and, for tabular input,
-    the offending 1-based data row (header excluded). The codes are
-    ``missing-file``, ``bad-encoding``, ``bad-header``, ``malformed-row``
-    and ``malformed-number`` from CSV parsing; ``empty``, ``nonpositive``,
-    ``duplicate`` (a tie) and ``non-increasing`` (a decrease) from
-    ``RecordSequence`` (``nonpositive`` also from a KS sample, where
-    near-tied records round a rescaled gap to 0); ``insufficient-data``; ``fit-data-mismatch``
-    (records and fit disagree); and the default ``invalid-data``.
+    Carries a short machine-readable ``code`` and, for tabular input, the
+    offending 1-based data row (header excluded). The codes are ``missing-file``,
+    ``bad-encoding``, ``bad-header``, ``malformed-row`` and ``malformed-number``
+    from CSV parsing; ``empty``, ``nonpositive``, ``duplicate`` (a tie) and
+    ``non-increasing`` (a decrease) from ``RecordSequence`` (``nonpositive``
+    also from a KS sample with a non-finite value or a gap that near-tied
+    records round to 0); ``insufficient-data``; ``fit-data-mismatch`` (records
+    and fit disagree); and the default ``invalid-data``.
     """
 
     def __init__(self, message, code="invalid-data", row=None):

@@ -6,20 +6,21 @@ s-th record (s > m) has conditional density
     f(y) = delta(y)**(s-m-1) / Gamma(s-m) * lambda(y) * exp(-delta(y)),
     delta(y) = Lambda(y) - Lambda(r_m),  y > r_m,
 
-so W = Lambda(T_s) - Lambda(r_m) is Gamma(s - m, 1). All moments and
-quantiles reduce to one-dimensional gamma expectations, which keeps the
-numerics exact-in-distribution rather than grid-based.
+so W = Lambda(T_s) - Lambda(r_m) is Gamma(s - m, 1). Every forecast goes
+through one map, T(w) = r_m * (1 + w/a)**(1/alpha) with a = Lambda(r_m),
+evaluated from (alpha, log a, r_m) so that it stays finite where a would
+underflow or overflow.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, NumericError
 from .inference import fit_mle
-from .model import cumulative_intensity, intensity_at, inverse_cumulative_intensity
-from .numerics import expectation_semi_infinite, gamma_quantile
+from .numerics import expectation_semi_infinite
 
 __all__ = [
     "PredictionQuery",
@@ -47,6 +48,10 @@ class PredictionQuery:
     s: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "s", operator.index(self.s))
+        except TypeError:
+            raise TypeError("target index s must be an integer, got %r" % (self.s,)) from None
         if self.s <= self.fitted.m:
             raise ValueError(
                 "target index s must exceed the number of fitted records "
@@ -75,69 +80,66 @@ class PredictionResult:
     level: float
 
 
+def _anchor(alpha, beta, r_m):
+    """log a = log Lambda(r_m) = log beta + alpha * log r_m, finite for any valid rate."""
+    return np.log(beta) + alpha * np.log(r_m)
+
+
+def _forecast(alpha, log_a, r_m, w):
+    """The map T(w) = r_m * exp(log(1 + w/a) / alpha): the position at Lambda(r_m) + w.
+
+    T(0) = r_m and T(w) >= r_m. Arguments broadcast; a T past the float
+    range is inf, without a warning.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        return r_m * np.exp(np.logaddexp(0.0, np.log(w) - log_a) / alpha)
+
+
 def conditional_density(query, y):
     """Conditional density of T_s at y, given the first m records.
 
-    Vectorized in y; returns 0 for y <= r_m (the support is open on the
-    left at the last fitted record). Evaluated in log space so that
-    distant tails underflow to 0 instead of overflowing.
+    Vectorized in y; 0 for y <= r_m. In log space through x = alpha * log(y / r_m),
+    as log delta = log(Lambda(y) - Lambda(r_m)) = log a + x + log(1 - exp(-x))
+    has no cancellation near r_m; 0 where delta overflows.
     """
-    rate = query.fitted.rate
-    k = query.steps_ahead
+    alpha, r_m, k = query.fitted.rate.alpha, query.r_m, float(query.steps_ahead)
+    log_a = _anchor(alpha, query.fitted.rate.beta, r_m)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any(~np.isfinite(y_arr)):
         raise ValueError("evaluation points must be finite")
-    out = np.zeros_like(y_arr)
-    sup = y_arr > query.r_m
-    if np.any(sup):
-        ys = y_arr[sup]
-        with np.errstate(all="ignore"):
-            delta = cumulative_intensity(rate, ys) - cumulative_intensity(rate, query.r_m)
-            log_lam = np.log(intensity_at(rate, ys))
-            if k == 1:
-                log_f = log_lam - delta
-            else:
-                log_f = (k - 1) * np.log(delta) - special.gammaln(float(k)) + log_lam - delta
-                log_f = np.where(delta > 0, log_f, -np.inf)
-        # Where Lambda(y) overflows, exp(-delta) and so the density are 0.
-        out[sup] = np.exp(np.where(delta < np.inf, log_f, -np.inf))
+    with np.errstate(all="ignore"):
+        x = alpha * np.log1p((y_arr - r_m) / r_m)  # y - r_m is exact near r_m
+        log_delta = log_a + x + np.log(-np.expm1(-x))
+        log_f = ((k - 1.0) * log_delta - special.gammaln(k) + np.log(alpha) + log_a + x
+                 - np.log(y_arr) - np.exp(log_delta))
+        out = np.where(x > 0.0, np.exp(log_f), 0.0)
     return float(out[0]) if np.ndim(y) == 0 else out
 
 
 def predict_mean(query):
-    """Conditional mean of T_s.
+    """Conditional mean of T_s: E[T(W)], W ~ Gamma(s - m, 1), by gamma-weighted quadrature.
 
-    Substituting w = Lambda(y) - Lambda(r_m) turns the mean into
-    E[(r_m**alpha + W/beta)**(1/alpha)] with W ~ Gamma(s - m, 1),
-    evaluated by gamma-weighted quadrature.
-
-    Raises
-    ------
-    NumericError
-        If the quadrature ladder fails to converge (propagated from the
-        numerics module with both final estimates attached).
+    Raises NumericError, with both final estimates, if the quadrature
+    ladder fails to converge.
     """
-    rate = query.fitted.rate
-    base = np.exp(rate.alpha * np.log(query.r_m))
-
-    def integrand(w):
-        return np.exp(np.log(base + w / rate.beta) / rate.alpha)
-
-    result = expectation_semi_infinite(integrand, float(query.steps_ahead))
-    return result.value
+    rate, r_m = query.fitted.rate, query.r_m
+    alpha, log_a = rate.alpha, _anchor(rate.alpha, rate.beta, r_m)
+    return expectation_semi_infinite(lambda w: _forecast(alpha, log_a, r_m, w),
+                                     float(query.steps_ahead)).value
 
 
 def predict_quantile(query, p):
-    """p-th quantile of T_s in closed form.
+    """p-th quantile of T_s in closed form, T(G^{-1}(p)) with G the Gamma(s - m, 1) CDF.
 
-    The gamma reduction gives Q(p) = Lambda^{-1}(Lambda(r_m) + G^{-1}(p))
-    where G is the Gamma(s - m, 1) CDF; no iteration is involved.
+    Raises NumericError if the quantile lies past the float range.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must be in (0, 1), got %r" % (p,))
-    rate = query.fitted.rate
-    w = cumulative_intensity(rate, query.r_m) + gamma_quantile(float(query.steps_ahead), p)
-    return inverse_cumulative_intensity(rate, w)
+    rate, w = query.fitted.rate, special.gammaincinv(float(query.steps_ahead), p)
+    q = float(_forecast(rate.alpha, _anchor(rate.alpha, rate.beta, query.r_m), query.r_m, w))
+    if q == np.inf:
+        raise NumericError("quantile %r of record %d is past the float range" % (p, query.s))
+    return q
 
 
 def _equal_tails(level):
@@ -160,9 +162,7 @@ def predict(fitted, s=None, level=0.95):
 
     s defaults to m + 1, the next unseen record.
     """
-    if s is None:
-        s = fitted.m + 1
-    query = PredictionQuery(fitted=fitted, s=int(s))
+    query = PredictionQuery(fitted=fitted, s=fitted.m + 1 if s is None else s)
     low, high = prediction_interval(query, level=level)
     return PredictionResult(
         s=query.s,

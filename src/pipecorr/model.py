@@ -126,13 +126,13 @@ def log_likelihood(rate, records):
     ----------
     rate : PowerLawRate
     records : RecordSequence or array_like
-        The observed positions; every value must be positive.
+        The observed positions; every value must be positive and finite.
     """
     pos = np.asarray(getattr(records, "positions", records), dtype=float)
     if pos.size == 0:
         raise ValueError("log_likelihood needs at least one record")
-    if np.any(pos <= 0):
-        raise ValueError("record positions must be strictly positive")
+    if not np.all((pos > 0) & (pos < np.inf)):
+        raise ValueError("record positions must be strictly positive and finite")
     r_m = float(np.max(pos))
     return float(
         pos.size * np.log(rate.alpha * rate.beta)

@@ -1,5 +1,4 @@
-"""Numeric kernels: gamma-family special functions and gamma-weighted
-quadrature on the half line.
+"""Numeric kernel: gamma-weighted quadrature on the half line.
 
 Everything downstream of the fitted model reduces to integrals of the
 form E[g(W)] with W ~ Gamma(k, 1), so the quadrature routine here is
@@ -16,7 +15,6 @@ from .errors import NumericError
 
 __all__ = [
     "QuadratureResult",
-    "gamma_quantile",
     "fixed_order_expectation",
     "expectation_semi_infinite",
 ]
@@ -51,20 +49,6 @@ class QuadratureResult:
     error_estimate: float
     evaluations: int
     converged: bool
-
-
-def gamma_quantile(k, p):
-    """Quantile of Gamma(k, 1): the inverse in x of the regularized P(k, x).
-
-    Accepts p in [0, 1); p = 0 maps to 0.
-    """
-    if k <= 0:
-        raise ValueError("shape must be positive, got %g" % k)
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if np.any((p_arr < 0) | (p_arr >= 1)):
-        raise ValueError("gamma_quantile requires 0 <= p < 1")
-    out = special.gammaincinv(k, p_arr)
-    return float(out[0]) if np.ndim(p) == 0 else out
 
 
 def fixed_order_expectation(integrand, shape, order):
@@ -115,12 +99,12 @@ def expectation_semi_infinite(integrand, shape):
     ------
     NumericError
         If the ladder is exhausted without meeting the tolerance. The
-        exception carries the last two estimates.
+        exception carries the last two estimates; the message, their gap.
     """
-    previous = None
+    estimate = None
     evaluations = 0
     for order in _ORDERS:
-        estimate = fixed_order_expectation(integrand, shape, order)
+        previous, estimate = estimate, fixed_order_expectation(integrand, shape, order)
         evaluations += order
         if previous is not None:
             gap = abs(estimate - previous)
@@ -131,9 +115,8 @@ def expectation_semi_infinite(integrand, shape):
                     evaluations=evaluations,
                     converged=True,
                 )
-        previous = estimate
     raise NumericError(
-        "gamma-weighted quadrature did not converge (last gap %.3e)" % abs(estimate - previous),
+        "gamma-weighted quadrature did not converge (last gap %.3e)" % gap,
         last_estimate=estimate,
         previous_estimate=previous,
     )

@@ -18,12 +18,12 @@ order.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import NumericError
-from .forecast import _equal_tails
+from .forecast import _anchor, _equal_tails, _forecast
 from .inference import RecordSequence, _mle_rows
-from .model import _cumulative, _inverse
-from .numerics import gamma_quantile
+from .model import _inverse
 
 __all__ = [
     "EstimatorStudy",
@@ -178,12 +178,10 @@ def estimator_study(rate, m, n_replicates, seed, level=0.95):
             raise _sample_error(rate, where, pos[k], bad[k], tied[k])
         raise NumericError("%sfitted beta %r left the float range; records nearly tied"
                            % (where, float(betas[k])))
-    # Interval ends Lambda^{-1}(Lambda(r_m) + G^{-1}(p)) per replicate.
-    g_low, g_high = gamma_quantile(1.0, tails)
-    with np.errstate(over="ignore"):
-        base = _cumulative(alphas, betas, pos[:, m - 1])
-        low = _inverse(alphas, betas, base + g_low)
-        high = _inverse(alphas, betas, base + g_high)
+    # Interval ends T(G^{-1}(p)) per replicate, through the forecast map.
+    r_m = pos[:, m - 1]
+    low, high = _forecast(alphas, _anchor(alphas, betas, r_m), r_m,
+                          special.gammaincinv(1.0, np.array(tails)[:, None]))
     held_out = pos[:, m]
     hits = np.count_nonzero((low <= held_out) & (held_out <= high))
     # Betas near the float limit overflow in np.std's squares; beta_std is then inf.

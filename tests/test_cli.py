@@ -370,6 +370,18 @@ class TestReportSchema:
         with pytest.raises(DataValidationError):
             AnalysisReport.from_dict({"schema_version": 2, "command": "fit"})
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"schema_version": 1, "command": "fit", "provenance": {}}, "unknown keys ['provenance']"),
+        ({"schema_version": 1}, "missing keys ['command']"),
+        ([1], "JSON object"),
+    ])
+    def test_foreign_documents_are_data_errors(self, doc, named):
+        # each is a data error that names the problem, not a TypeError from the dataclass
+        with pytest.raises(DataValidationError, match=re.escape(named)):
+            AnalysisReport.from_dict(doc)
+        with pytest.raises(DataValidationError, match=re.escape(named)):
+            AnalysisReport.from_json(json.dumps(doc))
+
     def test_golden_stability(self, survey_csv):
         argv = ["predict", survey_csv, "--steps", "1", "--holdout", "1", "--json"]
         _, first, _ = run_cli(argv)

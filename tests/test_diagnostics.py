@@ -177,6 +177,13 @@ class TestKsExponentialTest:
         with pytest.raises(DataValidationError, match="strictly positive"):
             ks_exponential_test(np.array([0.5, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        # a non-finite value is an error, neither a nan statistic nor a draw
+        with pytest.raises(DataValidationError, match="positive and finite") as excinfo:
+            ks_exponential_test([1.0, 2.0, bad, 0.5])
+        assert excinfo.value.code == "nonpositive"
+
     def test_detects_non_exponential(self):
         rng = np.random.default_rng(11)
         _, p = ks_exponential_test(rng.uniform(0.4, 0.6, size=200))

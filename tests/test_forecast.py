@@ -3,7 +3,9 @@ import pytest
 from scipy import integrate, optimize, special
 
 from pipecorr import (
+    FittedModel,
     InsufficientDataError,
+    NumericError,
     PowerLawRate,
     PredictionQuery,
     RecordSequence,
@@ -156,6 +158,34 @@ class TestPredictionInterval:
             predict(fit17, level=0.9999999999999999)
         low, high = prediction_interval(query18, level=0.9999999999999998)
         assert low < high < np.inf
+        # the tiny lower tail must not round the end below r_m
+        assert low >= fit17.r_m
+
+
+def hand_built(alpha, beta, r_m, k=1):
+    fitted = FittedModel(rate=PowerLawRate(alpha, beta), m=5, r_m=r_m, log_likelihood=0.0)
+    return PredictionQuery(fitted=fitted, s=5 + k)
+
+
+class TestForecastMap:
+    def test_underflowing_anchor(self):
+        # Lambda(r_m) = 1e-400 underflows; T = r_m * sqrt(1 + w/a) is sqrt(w)
+        query = hand_built(2.0, 1.0, 1e-200)
+        assert np.isclose(predict_quantile(query, 0.5), np.sqrt(np.log(2.0)), rtol=1e-12)
+        # k = 1: f(y) = lambda(y) exp(-delta) = 2 y, as delta is about 1e-400
+        assert np.isclose(conditional_density(query, 1.5e-200), 3e-200, rtol=1e-12)
+
+    def test_overflowing_anchor(self):
+        # Lambda(r_m) = 1e400 overflows; every quantile rounds to r_m
+        query = hand_built(200.0, 1.0, 100.0)
+        assert predict_quantile(query, 0.5) == 100.0
+        assert prediction_interval(query) == (100.0, 100.0)
+        assert conditional_density(query, 100.5) == 0.0
+
+    def test_quantile_past_float_range_is_numeric_error(self):
+        # (1 + w)**1000 with w = -log(0.01) is about 1e748
+        with pytest.raises(NumericError, match="float range"):
+            predict_quantile(hand_built(1e-3, 1.0, 1.0), 0.99)
 
 
 class TestPredict:
@@ -170,6 +200,16 @@ class TestPredict:
     def test_default_is_next_record(self, fit17):
         res = predict(fit17)
         assert res.s == 18
+
+    def test_record_index_must_be_integral(self, fit17):
+        # a fractional index is neither a gamma shape of 1.5 nor truncated to 18
+        for s in (18.5, 18.0, "18"):
+            with pytest.raises(TypeError, match="must be an integer"):
+                PredictionQuery(fitted=fit17, s=s)
+            with pytest.raises(TypeError, match="must be an integer"):
+                predict(fit17, s=s)
+        res = predict(fit17, s=np.int64(19))
+        assert res.s == 19 and type(res.s) is int
 
     def test_rejects_past_index(self, fit17):
         with pytest.raises(ValueError):

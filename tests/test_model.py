@@ -180,3 +180,9 @@ class TestLogLikelihood:
             log_likelihood(rate, [0.0, 1.0])
         with pytest.raises(ValueError):
             log_likelihood(rate, [-2.0])
+
+    @pytest.mark.parametrize("records", [[1.0, np.nan, 3.0], [1.0, np.inf]])
+    def test_rejects_non_finite_records(self, records):
+        # a non-finite position is an error, not a nan log-likelihood
+        with pytest.raises(ValueError, match="finite"):
+            log_likelihood(PowerLawRate(1.2, 0.17), records)
