@@ -168,57 +168,30 @@ class AnalysisReport:
 
 def _input_section(path, records):
     pos = records.positions
-    return {
-        "path": str(path),
-        "n": len(pos),
-        "min_km": _enc(min(pos)),
-        "max_km": _enc(max(pos)),
-    }
+    return {"path": str(path), "n": len(pos), "min_km": _enc(min(pos)), "max_km": _enc(max(pos))}
 
 
-def _fit_section(fitted):
-    return {
-        "m": fitted.m,
-        "alpha": _enc(fitted.rate.alpha),
-        "beta": _enc(fitted.rate.beta),
-        "log_likelihood": _enc(fitted.log_likelihood),
-        "r_m_km": _enc(fitted.r_m),
-    }
+# JSON keys of each section built from a result object, in report order:
+# an attribute name, with "_km" appended where the value is a position.
+_FIT_KEYS = ("m", "alpha", "beta", "log_likelihood", "r_m_km")
+_PREDICTION_KEYS = ("s", "m", "mean_km", "median_km", "interval_low_km", "interval_high_km",
+                    "level")
+_GOF_KEYS = ("n", "method", "ks_statistic", "p_value")
+_BACKTEST_KEYS = ("k", "alpha", "beta", "predicted_next_km", "observed_next_km")
 
 
-def _prediction_section(result):
-    return {
-        "s": result.s,
-        "m": result.m,
-        "mean_km": _enc(result.mean),
-        "median_km": _enc(result.median),
-        "interval_low_km": _enc(result.interval_low),
-        "interval_high_km": _enc(result.interval_high),
-        "level": _enc(result.level),
-    }
-
-
-def _gof_section(report):
-    return {
-        "n": report.n,
-        "method": report.method,
-        "ks_statistic": _enc(report.ks_statistic),
-        "p_value": _enc(report.p_value),
-    }
+def _section(result, keys):
+    """The report section of one result object: floats through ``_enc``, ints and strings as is."""
+    values = (getattr(result, key.removesuffix("_km")) for key in keys)
+    return {key: _enc(v) if isinstance(v, float) else v for key, v in zip(keys, values)}
 
 
 def _render_text(report):
     lines = []
     if report.input is not None:
-        lines.append(
-            "input: %s records from %s (%s to %s km)"
-            % (
-                report.input["n"],
-                report.input["path"],
-                _fmt(report.input["min_km"]),
-                _fmt(report.input["max_km"]),
-            )
-        )
+        i = report.input
+        lines.append("input: %s records from %s (%s to %s km)"
+                     % (i["n"], i["path"], _fmt(i["min_km"]), _fmt(i["max_km"])))
     if report.fit is not None:
         f = report.fit
         lines.append(
@@ -244,44 +217,33 @@ def _render_text(report):
         lines.append("expanding-window backtest (fit first k, predict record k+1):")
         lines.append("  k   alpha     beta      predicted  observed")
         for row in report.backtest:
-            lines.append(
-                "  %-3d %-9s %-9s %-10s %s"
-                % (
-                    row["k"],
-                    _fmt(row["alpha"]),
-                    _fmt(row["beta"]),
-                    _fmt(row["predicted_next_km"]),
-                    _fmt(row["observed_next_km"]),
-                )
-            )
-    if report.simulation is not None:
-        s = report.simulation
-        lines.append(
-            "simulated %d positions at alpha %s, beta %s (seed %d)"
-            % (s["m"], _fmt(s["alpha"]), _fmt(s["beta"]), s["seed"])
-        )
+            lines.append("  %-3d %-9s %-9s %-10s %s"
+                         % (row["k"], *(_fmt(row[key]) for key in _BACKTEST_KEYS[1:])))
     for w in report.warnings:
         lines.append("note: %s" % w)
     return "\n".join(lines)
 
 
-def _emit(report, as_json, out):
-    out.write(report.to_json() + "\n" if as_json else _render_text(report) + "\n")
+def _emit(args, out, **sections):
+    """Write the report of ``args.command``: JSON with ``--json``, else text."""
+    report = AnalysisReport(command=args.command, **sections)
+    out.write(report.to_json() + "\n" if args.json else _render_text(report) + "\n")
+
+
+def _write_csv(out, header, rows):
+    """Text output of simulate and plot-data: a header line, then rows of ``_enc`` floats."""
+    out.write(header + "\n")
+    out.writelines(",".join(map(_enc, row)) + "\n" for row in rows)
 
 
 def _cmd_fit(args, out):
     records = ingest_csv(args.data)
-    fitted = fit_mle(records)
-    report = AnalysisReport(
-        command="fit",
-        input=_input_section(args.data, records),
-        fit=_fit_section(fitted),
-        warnings=(_BETA_UNITS_NOTE,),
-    )
-    _emit(report, args.json, out)
+    _emit(args, out, input=_input_section(args.data, records),
+          fit=_section(fit_mle(records), _FIT_KEYS), warnings=(_BETA_UNITS_NOTE,))
 
 
 def _holdout_fit(records, holdout):
+    """The held-in prefix of the records and its fit."""
     if holdout < 0:
         raise UsageError("--holdout must be nonnegative")
     m = len(records) - holdout
@@ -289,7 +251,8 @@ def _holdout_fit(records, holdout):
         raise UsageError(
             "need at least 2 records after holdout, have %d - %d" % (len(records), holdout)
         )
-    return fit_mle(records.prefix(m))
+    held_in = records.prefix(m)
+    return held_in, fit_mle(held_in)
 
 
 def _check_steps(steps):
@@ -304,52 +267,25 @@ def _cmd_predict(args, out):
     except ValueError as exc:
         raise UsageError("--level: %s" % exc)
     records = ingest_csv(args.data)
-    fitted = _holdout_fit(records, args.holdout)
+    _, fitted = _holdout_fit(records, args.holdout)
     result = predict(fitted, s=fitted.m + args.steps, level=args.level)
-    report = AnalysisReport(
-        command="predict",
-        input=_input_section(args.data, records),
-        fit=_fit_section(fitted),
-        prediction=_prediction_section(result),
-        warnings=(_BETA_UNITS_NOTE,),
-    )
-    _emit(report, args.json, out)
+    _emit(args, out, input=_input_section(args.data, records), fit=_section(fitted, _FIT_KEYS),
+          prediction=_section(result, _PREDICTION_KEYS), warnings=(_BETA_UNITS_NOTE,))
 
 
 def _cmd_gof(args, out):
     records = ingest_csv(args.data)
-    fitted = _holdout_fit(records, args.holdout)
-    gof = gof_report(records.prefix(fitted.m), fitted, method=args.method)
-    report = AnalysisReport(
-        command="gof",
-        input=_input_section(args.data, records),
-        fit=_fit_section(fitted),
-        gof=_gof_section(gof),
-        warnings=(KS_ESTIMATED_PARAMS_CAVEAT,),
-    )
-    _emit(report, args.json, out)
+    held_in, fitted = _holdout_fit(records, args.holdout)
+    gof = gof_report(held_in, fitted, method=args.method)
+    _emit(args, out, input=_input_section(args.data, records), fit=_section(fitted, _FIT_KEYS),
+          gof=_section(gof, _GOF_KEYS), warnings=(KS_ESTIMATED_PARAMS_CAVEAT,))
 
 
 def _cmd_backtest(args, out):
     records = ingest_csv(args.data)
-    rows = backtest(records)
-    table = [
-        {
-            "k": row.k,
-            "alpha": _enc(row.alpha),
-            "beta": _enc(row.beta),
-            "predicted_next_km": _enc(row.predicted_next),
-            "observed_next_km": _enc(row.observed_next),
-        }
-        for row in rows
-    ]
-    report = AnalysisReport(
-        command="backtest",
-        input=_input_section(args.data, records),
-        backtest=table,
-        warnings=(_BETA_UNITS_NOTE,),
-    )
-    _emit(report, args.json, out)
+    _emit(args, out, input=_input_section(args.data, records),
+          backtest=[_section(row, _BACKTEST_KEYS) for row in backtest(records)],
+          warnings=(_BETA_UNITS_NOTE,))
 
 
 def _rate_from_args(args):
@@ -366,21 +302,15 @@ def _cmd_simulate(args, out):
         raise UsageError("--seed must be nonnegative")
     path = simulate_first_m(rate, args.m, args.seed)
     if args.json:
-        report = AnalysisReport(
-            command="simulate",
-            simulation={
-                "alpha": _enc(rate.alpha),
-                "beta": _enc(rate.beta),
-                "m": args.m,
-                "seed": args.seed,
-                "positions_km": [_enc(x) for x in path.positions],
-            },
-        )
-        _emit(report, True, out)
+        _emit(args, out, simulation={
+            "alpha": _enc(rate.alpha),
+            "beta": _enc(rate.beta),
+            "m": args.m,
+            "seed": args.seed,
+            "positions_km": [_enc(x) for x in path.positions],
+        })
     else:
-        out.write("position_km\n")
-        for x in path.positions:
-            out.write(_enc(x) + "\n")
+        _write_csv(out, "position_km", ((x,) for x in path.positions))
 
 
 def _cmd_plot_data(args, out):
@@ -406,7 +336,7 @@ def _cmd_plot_data(args, out):
         header = "t,lambda"
     else:
         records = ingest_csv(args.data)
-        fitted = _holdout_fit(records, args.holdout)
+        _, fitted = _holdout_fit(records, args.holdout)
         _check_steps(args.steps)
         query = PredictionQuery(fitted=fitted, s=fitted.m + args.steps)
         y_min = fitted.r_m if args.y_min is None else args.y_min
@@ -416,19 +346,13 @@ def _cmd_plot_data(args, out):
         pairs = density_curve(query, y_min, y_max, args.points)
         header = "y,density"
     if args.json:
-        report = AnalysisReport(
-            command="plot-data",
-            curve={
-                "kind": args.kind,
-                "columns": header.split(","),
-                "points": [[_enc(a), _enc(b)] for a, b in pairs],
-            },
-        )
-        _emit(report, True, out)
+        _emit(args, out, curve={
+            "kind": args.kind,
+            "columns": header.split(","),
+            "points": [[_enc(a), _enc(b)] for a, b in pairs],
+        })
     else:
-        out.write(header + "\n")
-        for a, b in pairs:
-            out.write("%s,%s\n" % (_enc(a), _enc(b)))
+        _write_csv(out, header, pairs)
 
 
 def build_parser():

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from .errors import InsufficientDataError, NumericError
-from .inference import fit_mle
+from .inference import _prefix_fits
 from .numerics import expectation_semi_infinite
 
 __all__ = [
@@ -212,22 +212,19 @@ def backtest(records):
 
     For k = 2 .. m-1, fit the first k records, predict the mean position
     of record k+1 and pair it with the observation. Row k therefore uses
-    only data available before record k+1.
+    only data available before record k+1; all m records are never
+    fitted together.
     """
     m = len(records)
     if m < 3:
         raise InsufficientDataError("backtest needs at least 3 records, got %d" % m)
-    rows = []
-    for k in range(2, m):
-        fitted = fit_mle(records.prefix(k))
-        query = PredictionQuery(fitted=fitted, s=k + 1)
-        rows.append(
-            BacktestRow(
-                k=k,
-                alpha=fitted.rate.alpha,
-                beta=fitted.rate.beta,
-                predicted_next=predict_mean(query),
-                observed_next=records.positions[k],
-            )
+    return [
+        BacktestRow(
+            k=fitted.m,
+            alpha=fitted.rate.alpha,
+            beta=fitted.rate.beta,
+            predicted_next=predict_mean(PredictionQuery(fitted=fitted, s=fitted.m + 1)),
+            observed_next=records.positions[fitted.m],
         )
-    return rows
+        for fitted in _prefix_fits(records.as_array()[:-1])
+    ]

@@ -96,6 +96,37 @@ def _mle_rows(pos):
     return alpha, beta
 
 
+def _fit_error(alpha, beta, r_m, where=""):
+    """NumericError for a fitted beta = m / r_m**alpha_hat outside the float range."""
+    return NumericError(
+        "%sfitted beta %r left the float range at alpha_hat %r, r_m %r; the records are "
+        "nearly tied (large alpha_hat) or the positions are far from 1"
+        % (where, float(beta), float(alpha), float(r_m))
+    )
+
+
+def _fit(pos):
+    """FittedModel of an already-validated float array of at least two records.
+
+    Slices of one array give the same bits as fits of separate copies.
+    """
+    alpha, beta = _mle_rows(pos)
+    if not 0.0 < beta < np.inf:
+        raise _fit_error(alpha, beta, pos[-1])
+    rate = PowerLawRate(float(alpha), float(beta))
+    return FittedModel(
+        rate=rate,
+        m=pos.size,
+        r_m=float(pos[-1]),
+        log_likelihood=log_likelihood(rate, pos),
+    )
+
+
+def _prefix_fits(pos):
+    """Fits of every prefix pos[:k], k = 2 .. len(pos): views of one array, never re-validated."""
+    return [_fit(pos[:k]) for k in range(2, pos.size + 1)]
+
+
 def fit_mle(records):
     """Closed-form maximum-likelihood fit.
 
@@ -118,32 +149,25 @@ def fit_mle(records):
         With fewer than two records the likelihood has no interior
         maximum.
     NumericError
-        If beta_hat leaves the float range, as it does when the records
-        are so close to tied that alpha_hat is in the hundreds.
+        If beta_hat = m / r_m**alpha_hat leaves the float range. It does
+        when the records are so close to tied that alpha_hat is in the
+        hundreds, or when the positions are far from 1 (r_m near 1e300 or
+        1e-300), even at a moderate alpha_hat. The message states
+        alpha_hat and r_m.
     """
-    pos = records.as_array()
-    m = pos.size
-    if m < 2:
-        raise InsufficientDataError("fit needs at least 2 records, got %d" % m)
-    alpha, beta = _mle_rows(pos)
-    if not 0.0 < beta < np.inf:
-        raise NumericError("fitted beta %r left the float range; records nearly tied" % float(beta))
-    rate = PowerLawRate(float(alpha), float(beta))
-    return FittedModel(
-        rate=rate,
-        m=m,
-        r_m=float(pos[-1]),
-        log_likelihood=log_likelihood(rate, pos),
-    )
+    if len(records) < 2:
+        raise InsufficientDataError("fit needs at least 2 records, got %d" % len(records))
+    return _fit(records.as_array())
 
 
 def sequential_fits(records):
     """Fits of every prefix r_1..r_k for k = 2 .. m, in order.
 
     Useful for watching parameter stabilization as the survey extends;
-    fits are independent, nothing is warm-started.
+    fits are independent, nothing is warm-started. Each equals
+    ``fit_mle`` of that prefix bit for bit.
     """
     m = len(records)
     if m < 2:
         raise InsufficientDataError("sequential fits need at least 2 records, got %d" % m)
-    return [fit_mle(records.prefix(k)) for k in range(2, m + 1)]
+    return _prefix_fits(records.as_array())

@@ -22,7 +22,7 @@ from scipy import special
 
 from .errors import NumericError
 from .forecast import _anchor, _equal_tails, _forecast
-from .inference import RecordSequence, _mle_rows
+from .inference import RecordSequence, _fit_error, _mle_rows
 from .model import _inverse
 
 __all__ = [
@@ -176,8 +176,7 @@ def estimator_study(rate, m, n_replicates, seed, level=0.95):
         where = "replicate %d: " % k
         if sampled[k]:
             raise _sample_error(rate, where, pos[k], bad[k], tied[k])
-        raise NumericError("%sfitted beta %r left the float range; records nearly tied"
-                           % (where, float(betas[k])))
+        raise _fit_error(alphas[k], betas[k], pos[k, m - 1], where)
     # Interval ends T(G^{-1}(p)) per replicate, through the forecast map.
     r_m = pos[:, m - 1]
     low, high = _forecast(alphas, _anchor(alphas, betas, r_m), r_m,

@@ -1,6 +1,6 @@
 import pytest
 
-from pipecorr import demo_records, fit_mle
+from pipecorr import RecordSequence, demo_records, fit_mle
 
 # Published reference values for the bundled survey (4-decimal prints;
 # the row-17 beta appears as 0.1661 in one place and 0.1662 in another,
@@ -59,3 +59,17 @@ def survey17_csv(tmp_path_factory, survey17):
     lines = ["position_km"] + [repr(x) for x in survey17.positions]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture()
+def validations(monkeypatch):
+    """Lengths of the record sequences validated while the test runs."""
+    seen = []
+    original = RecordSequence.__post_init__
+
+    def counted(self):
+        seen.append(len(self.positions))
+        original(self)
+
+    monkeypatch.setattr(RecordSequence, "__post_init__", counted)
+    return seen

@@ -329,6 +329,14 @@ class TestErrorChannel:
         assert err.count("\n") == 1
         assert ERROR_LINE.match(err.strip()), err
 
+    @pytest.mark.filterwarnings("error")
+    def test_scale_overflow_names_both_causes(self, write_csv):
+        # r_2 / r_1 = 2 is no near tie; beta of the k = 2 fit underflows from scale alone
+        code, out, err = run_cli(["backtest", write_csv([1e300, 2e300, 5e300, 1e301])])
+        assert (code, out) == (4, "")
+        assert ERROR_LINE.match(err.strip()), err
+        assert "r_m 2e+300" in err and "nearly tied" in err and "far from 1" in err
+
     def test_gap_rounding_to_zero_exits_3(self, write_csv):
         # at alpha_hat ~ 0.1 the first two records map to one float of Lambda
         code, out, err = run_cli(["gof", write_csv([1.0, 1.0000000000000002, 5, 100, 1e6])])
@@ -381,6 +389,23 @@ class TestReportSchema:
             AnalysisReport.from_dict(doc)
         with pytest.raises(DataValidationError, match=re.escape(named)):
             AnalysisReport.from_json(json.dumps(doc))
+
+    def test_section_key_order(self, survey_csv):
+        # the report bytes follow these orders
+        predict = run_json(["predict", survey_csv, "--holdout", "1", "--json"])
+        assert list(predict) == ["schema_version", "command", "input", "fit", "prediction",
+                                 "warnings"]
+        assert list(predict["input"]) == ["path", "n", "min_km", "max_km"]
+        assert list(predict["fit"]) == ["m", "alpha", "beta", "log_likelihood", "r_m_km"]
+        assert list(predict["prediction"]) == ["s", "m", "mean_km", "median_km",
+                                               "interval_low_km", "interval_high_km", "level"]
+        gof = run_json(["gof", survey_csv, "--json"])
+        assert list(gof) == ["schema_version", "command", "input", "fit", "gof", "warnings"]
+        assert list(gof["gof"]) == ["n", "method", "ks_statistic", "p_value"]
+        backtest = run_json(["backtest", survey_csv, "--json"])
+        assert list(backtest) == ["schema_version", "command", "input", "backtest", "warnings"]
+        for row in backtest["backtest"]:
+            assert list(row) == ["k", "alpha", "beta", "predicted_next_km", "observed_next_km"]
 
     def test_golden_stability(self, survey_csv):
         argv = ["predict", survey_csv, "--steps", "1", "--holdout", "1", "--json"]

@@ -256,12 +256,22 @@ class TestBacktest:
             assert row.observed_next == survey.positions[row.k]
 
     def test_rows_match_independent_fits(self, survey):
-        rows = backtest(survey)
-        for row in rows[:4]:
+        for row in backtest(survey):
             fitted = fit_mle(survey.prefix(row.k))
-            assert np.isclose(row.alpha, fitted.rate.alpha, rtol=1e-14)
-            query = PredictionQuery(fitted=fitted, s=row.k + 1)
-            assert np.isclose(row.predicted_next, predict_mean(query), rtol=1e-12)
+            assert (row.alpha, row.beta) == (fitted.rate.alpha, fitted.rate.beta)
+            assert row.predicted_next == predict_mean(PredictionQuery(fitted=fitted, s=row.k + 1))
+
+    def test_prefixes_are_not_revalidated(self, survey, validations):
+        backtest(survey)
+        assert validations == []
+
+    def test_last_record_is_never_fitted(self):
+        # beta of the fit of all three records underflows (alpha_hat 1.30 at
+        # r_m 1e300); the only row, k = 2 (alpha_hat 0.87), does not need it
+        records = RecordSequence([1e299, 1e300, 1.001e300])
+        with pytest.raises(NumericError):
+            fit_mle(records)
+        assert [row.k for row in backtest(records)] == [2]
 
     def test_spot_values(self, survey):
         rows = {row.k: row for row in backtest(survey)}

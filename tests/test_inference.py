@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,16 @@ class TestFitMle:
             with pytest.raises(NumericError):
                 fit_mle(RecordSequence(positions))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("positions, r_m", [([1e300, 2e300], "2e+300"),
+                                                ([1e-300, 2e-300], "2e-300")])
+    def test_scale_alone_names_both_causes(self, positions, r_m):
+        # the records differ by a factor of 2 (alpha_hat 2.885), but
+        # r_m**alpha_hat leaves the float range from scale alone
+        with pytest.raises(NumericError, match=r"alpha_hat 2\.885.*r_m %s.*far from 1"
+                           % re.escape(r_m)):
+            fit_mle(RecordSequence(positions))
+
     def test_scale_property(self, survey17, fit17):
         # rescaling positions by c leaves alpha_hat unchanged and maps
         # beta_hat to beta_hat / c**alpha_hat
@@ -135,9 +147,12 @@ class TestSequentialFits:
 
     def test_each_matches_direct_fit(self, survey):
         fits = sequential_fits(survey)
-        for fitted in fits[:5]:
-            direct = fit_mle(survey.prefix(fitted.m))
-            assert fitted.rate == direct.rate
+        for fitted in fits:
+            assert fitted == fit_mle(survey.prefix(fitted.m))
+
+    def test_prefixes_are_not_revalidated(self, survey, validations):
+        sequential_fits(survey)
+        assert validations == []
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
