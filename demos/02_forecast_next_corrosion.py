@@ -8,14 +8,7 @@ was actually observed (50.545 km).
 
 import numpy as np
 
-from pipecorr import (
-    PredictionQuery,
-    conditional_density,
-    demo_records,
-    density_curve,
-    fit_mle,
-    predict,
-)
+from pipecorr import PredictionQuery, conditional_density, demo_records, fit_mle, predict
 
 records = demo_records()
 fitted = fit_mle(records.prefix(17))
@@ -37,15 +30,15 @@ print("  observed %.3f km -> inside the interval: %s" % (
 # ----------------------------------------------------------------------
 # The density lives on y > 50.370 km (the last fitted record) and for a
 # one-step-ahead forecast it decreases from that edge.
-curve = density_curve(PredictionQuery(fitted=fitted, s=18), fitted.r_m, 65.0, n_points=300)
-mass_near = np.trapezoid(curve[:100, 1], curve[:100, 0])
+query = PredictionQuery(fitted=fitted, s=18)
+y = np.linspace(fitted.r_m, 65.0, 300)
+f = conditional_density(query, y)
+mass_near = np.trapezoid(f[:100], y[:100])
 print("\npredictive density: support starts at %.3f km" % fitted.r_m)
-print("  f(50.5) = %.4f, f(53) = %.4f, f(60) = %.4f" % (
-    conditional_density(PredictionQuery(fitted=fitted, s=18), 50.5),
-    conditional_density(PredictionQuery(fitted=fitted, s=18), 53.0),
-    conditional_density(PredictionQuery(fitted=fitted, s=18), 60.0)))
+print("  f(50.5) = %.4f, f(53) = %.4f, f(60) = %.4f" % tuple(
+    conditional_density(query, [50.5, 53.0, 60.0])))
 print("  probability within the first %.1f km past the edge: %.3f" % (
-    curve[99, 0] - fitted.r_m, mass_near))
+    y[99] - fitted.r_m, mass_near))
 
 # ----------------------------------------------------------------------
 # 3. Looking several records ahead

@@ -43,7 +43,8 @@ print("  (%s)" % KS_ESTIMATED_PARAMS_CAVEAT)
 alt = gof_report(records, fitted, method="log-ratio")
 print("\nlog-ratio variant (drops the first record, n = %d): D = %.4f, p = %.2g" % (
     alt.n, alt.ks_statistic, alt.p_value))
-print("  far more sensitive to the near-tied pairs, hence the tiny p.")
+print("  u_i = (i - 1) * alpha * log(t_i / t_(i-1)) is Exp(1) under the model;"
+      " like the increments test, it does not reject.")
 
 # ----------------------------------------------------------------------
 # 3. Control: the same check on data the model actually generated

@@ -16,8 +16,6 @@ from .diagnostics import (
     exponential_transform,
     gof_report,
     ks_exponential_test,
-    ks_statistic_exponential,
-    time_rescaling_increments,
 )
 from .errors import DataValidationError, InsufficientDataError, NumericError
 from .forecast import (
@@ -26,25 +24,13 @@ from .forecast import (
     PredictionResult,
     backtest,
     conditional_density,
-    density_curve,
     predict,
     predict_mean,
     predict_quantile,
     prediction_interval,
 )
 from .inference import FittedModel, RecordSequence, fit_mle, sequential_fits
-from .model import (
-    PowerLawRate,
-    cumulative_intensity,
-    intensity_at,
-    inverse_cumulative_intensity,
-    log_likelihood,
-)
-from .numerics import (
-    QuadratureResult,
-    expectation_semi_infinite,
-    fixed_order_expectation,
-)
+from .model import PowerLawRate, cumulative_intensity, intensity_at, log_likelihood
 from .simulation import (
     EstimatorStudy,
     estimator_study,
@@ -68,24 +54,18 @@ __all__ = [
     "PowerLawRate",
     "PredictionQuery",
     "PredictionResult",
-    "QuadratureResult",
     "RecordSequence",
     "backtest",
     "conditional_density",
     "cumulative_intensity",
     "demo_records",
-    "density_curve",
     "estimator_study",
-    "expectation_semi_infinite",
     "exponential_transform",
     "fit_mle",
-    "fixed_order_expectation",
     "gof_report",
     "ingest_csv",
     "intensity_at",
-    "inverse_cumulative_intensity",
     "ks_exponential_test",
-    "ks_statistic_exponential",
     "log_likelihood",
     "predict",
     "predict_mean",
@@ -94,6 +74,5 @@ __all__ = [
     "sequential_fits",
     "simulate_first_m",
     "simulate_records_from_iid",
-    "time_rescaling_increments",
     "__version__",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .diagnostics import KS_ESTIMATED_PARAMS_CAVEAT, gof_report
 from .errors import DataValidationError, InsufficientDataError, NumericError
-from .forecast import (PredictionQuery, _equal_tails, backtest, density_curve, predict,
+from .forecast import (PredictionQuery, _equal_tails, backtest, conditional_density, predict,
                        predict_quantile)
 from .inference import RecordSequence, fit_mle
 from .model import PowerLawRate, intensity_at
@@ -324,15 +324,14 @@ def _cmd_plot_data(args, out):
             raise UsageError("--t-min must be positive when alpha < 1 (rate diverges at 0)")
         grid = np.linspace(args.t_min, args.t_max, args.points)
         with np.errstate(all="ignore"):
-            lam = intensity_at(rate, grid)
-        if not np.isfinite(lam).all():
+            values = intensity_at(rate, grid)
+        if not np.isfinite(values).all():
             raise NumericError("rate at alpha=%r, beta=%r leaves the float range on [%r, %r]"
                                % (rate.alpha, rate.beta, args.t_min, args.t_max))
         # --form plain drops the alpha factor, matching rate curves
         # published as beta * t**(alpha - 1).
         if args.form == "plain":
-            lam = lam / rate.alpha
-        pairs = np.column_stack([grid, lam])
+            values = values / rate.alpha
         header = "t,lambda"
     else:
         records = ingest_csv(args.data)
@@ -343,8 +342,10 @@ def _cmd_plot_data(args, out):
         y_max = predict_quantile(query, 0.995) if args.y_max is None else args.y_max
         if not fitted.r_m <= y_min < y_max < math.inf:
             raise UsageError("need r_m <= --y-min < --y-max, both finite")
-        pairs = density_curve(query, y_min, y_max, args.points)
+        grid = np.linspace(y_min, y_max, args.points)
+        values = conditional_density(query, grid)
         header = "y,density"
+    pairs = np.column_stack([grid, values])
     if args.json:
         _emit(args, out, curve={
             "kind": args.kind,
@@ -355,6 +356,13 @@ def _cmd_plot_data(args, out):
         _write_csv(out, header, pairs)
 
 
+def _flag(*names, **kwargs):
+    """A parent parser holding one flag, for subcommands to list in ``parents``."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser():
     parser = _Parser(
         prog="pipecorr",
@@ -362,63 +370,55 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="maximum-likelihood fit of a position CSV")
-    p_fit.add_argument("data", help="CSV file with header position_km")
-    p_fit.add_argument("--json", action="store_true", help="emit the JSON report schema")
+    # Flags shared by several subcommands; each subcommand lists its flags
+    # in the order that its --help shows them.
+    data = _flag("data", help="CSV file with header position_km")
+    json_ = _flag("--json", action="store_true", help="emit the JSON report schema")
+    holdout = _flag("--holdout", type=int, default=0,
+                    help="fit on all but the last h records (default 0)")
+    steps = _flag("--steps", type=int, default=1, help="records ahead of the fit (default 1)")
+    rate = _flag("--alpha", type=float, required=True)
+    rate.add_argument("--beta", type=float, required=True)
+    points = _flag("--points", type=int, default=200)
 
-    p_pred = sub.add_parser("predict", help="predict future record positions")
-    p_pred.add_argument("data")
-    p_pred.add_argument("--steps", type=int, default=1, help="records ahead of the fit (default 1)")
-    p_pred.add_argument("--level", type=float, default=0.95, help="interval coverage (default 0.95)")
-    p_pred.add_argument(
-        "--holdout", type=int, default=0, help="fit on all but the last h records (default 0)"
-    )
-    p_pred.add_argument("--json", action="store_true")
-
-    p_gof = sub.add_parser("gof", help="time-rescaling goodness-of-fit test")
-    p_gof.add_argument("data")
-    p_gof.add_argument("--holdout", type=int, default=0)
-    p_gof.add_argument(
-        "--method", choices=("increments", "log-ratio"), default="increments",
-        help="exponential reduction to test (default increments)",
-    )
-    p_gof.add_argument("--json", action="store_true")
-
-    p_back = sub.add_parser("backtest", help="one-step-ahead expanding-window evaluation")
-    p_back.add_argument("data")
-    p_back.add_argument("--json", action="store_true")
-
-    p_sim = sub.add_parser("simulate", help="simulate record positions to CSV")
-    p_sim.add_argument("--alpha", type=float, required=True)
-    p_sim.add_argument("--beta", type=float, required=True)
-    p_sim.add_argument("--m", type=int, required=True, help="number of positions")
-    p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--json", action="store_true")
+    sub.add_parser("fit", help="maximum-likelihood fit of a position CSV", parents=[data, json_])
+    sub.add_parser("predict", help="predict future record positions", parents=[
+        data, steps,
+        _flag("--level", type=float, default=0.95, help="interval coverage (default 0.95)"),
+        holdout, json_,
+    ])
+    sub.add_parser("gof", help="time-rescaling goodness-of-fit test", parents=[
+        data, holdout,
+        _flag("--method", choices=("increments", "log-ratio"), default="increments",
+              help="exponential reduction to test (default increments)"),
+        json_,
+    ])
+    sub.add_parser("backtest", help="one-step-ahead expanding-window evaluation",
+                   parents=[data, json_])
+    sub.add_parser("simulate", help="simulate record positions to CSV", parents=[
+        rate,
+        _flag("--m", type=int, required=True, help="number of positions"),
+        _flag("--seed", type=int, required=True),
+        json_,
+    ])
 
     p_plot = sub.add_parser("plot-data", help="two-column CSV for rate or density curves")
     kind = p_plot.add_subparsers(dest="kind", required=True)
-
-    k_rate = kind.add_parser("rate", help="fitted or specified rate curve, columns t,lambda")
-    k_rate.add_argument("--alpha", type=float, required=True)
-    k_rate.add_argument("--beta", type=float, required=True)
-    k_rate.add_argument("--t-min", type=float, default=0.0)
-    k_rate.add_argument("--t-max", type=float, required=True)
-    k_rate.add_argument("--points", type=int, default=200)
-    k_rate.add_argument(
-        "--form", choices=("model", "plain"), default="model",
-        help="model: alpha*beta*t^(alpha-1); plain: beta*t^(alpha-1)",
-    )
-    k_rate.add_argument("--json", action="store_true")
-
-    k_dens = kind.add_parser("density", help="predictive density curve, columns y,density")
-    k_dens.add_argument("data")
-    k_dens.add_argument("--holdout", type=int, default=0)
-    k_dens.add_argument("--steps", type=int, default=1)
-    k_dens.add_argument("--y-min", type=float, default=None)
-    k_dens.add_argument("--y-max", type=float, default=None)
-    k_dens.add_argument("--points", type=int, default=200)
-    k_dens.add_argument("--json", action="store_true")
-
+    kind.add_parser("rate", help="fitted or specified rate curve, columns t,lambda", parents=[
+        rate,
+        _flag("--t-min", type=float, default=0.0),
+        _flag("--t-max", type=float, required=True),
+        points,
+        _flag("--form", choices=("model", "plain"), default="model",
+              help="model: alpha*beta*t^(alpha-1); plain: beta*t^(alpha-1)"),
+        json_,
+    ])
+    kind.add_parser("density", help="predictive density curve, columns y,density", parents=[
+        data, holdout, steps,
+        _flag("--y-min", type=float, default=None),
+        _flag("--y-max", type=float, default=None),
+        points, json_,
+    ])
     return parser
 
 

@@ -69,10 +69,12 @@ def exponential_transform(records, fitted, method="increments"):
         rejected rather than silently producing a meaningless transform.
     method : str
         "increments" (default): u_i = Lambda_hat(t_i) - Lambda_hat(t_{i-1}).
-        "log-ratio": alpha_hat * log(t_i / t_{i-1}) for i >= 2, an
-        alternative exponential reduction useful for sensitivity checks
-        (it discards the first record and is far more sensitive to
-        near-tied neighbours).
+        "log-ratio": u_i = (i - 1) * alpha_hat * log(t_i / t_{i-1}) for
+        i = 2 .. m, an alternative reduction for sensitivity checks that
+        discards the first record. Under the model alpha * log(t_i / t_{i-1})
+        = log(S_i / S_{i-1}) ~ Exp(i - 1), as S_{i-1} / S_i ~ Beta(i - 1, 1)
+        independently over i; the weight i - 1 makes each a unit
+        exponential. For the MLE these sum to m exactly.
     """
     pos = records.as_array()
     if fitted.m != pos.size or not np.isclose(fitted.r_m, pos[-1], rtol=1e-12, atol=0.0):
@@ -85,7 +87,7 @@ def exponential_transform(records, fitted, method="increments"):
     if method == "increments":
         return time_rescaling_increments(fitted.rate, pos)
     if method == "log-ratio":
-        return fitted.rate.alpha * np.diff(np.log(pos))
+        return np.arange(1, pos.size) * fitted.rate.alpha * np.diff(np.log(pos))
     raise ValueError("unknown transform method %r" % (method,))
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "predict_quantile",
     "prediction_interval",
     "predict",
-    "density_curve",
     "backtest",
 ]
 
@@ -173,23 +172,6 @@ def predict(fitted, s=None, level=0.95):
         interval_high=high,
         level=float(level),
     )
-
-
-def density_curve(query, y_min, y_max, n_points=200):
-    """Tabulate the conditional density on a uniform grid.
-
-    Returns an (n_points, 2) array of (y, density) pairs, ready for
-    plotting. y_min may equal r_m (the density there is 0).
-    """
-    if not query.r_m <= y_min < y_max:
-        raise ValueError(
-            "need r_m <= y_min < y_max, got r_m=%g, y_min=%g, y_max=%g"
-            % (query.r_m, y_min, y_max)
-        )
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2, got %d" % n_points)
-    grid = np.linspace(y_min, y_max, int(n_points))
-    return np.column_stack([grid, conditional_density(query, grid)])
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ __all__ = [
     "PowerLawRate",
     "intensity_at",
     "cumulative_intensity",
-    "inverse_cumulative_intensity",
     "log_likelihood",
 ]
 
@@ -69,10 +68,10 @@ def _inverse(alpha, beta, w, out=None):
         return np.exp(out, out=out)
 
 
-def _positions(t, name="t"):
+def _positions(t):
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(~np.isfinite(arr)) or np.any(arr < 0):
-        raise ValueError("%s must be finite and nonnegative" % name)
+        raise ValueError("t must be finite and nonnegative")
     return arr
 
 
@@ -103,16 +102,6 @@ def cumulative_intensity(rate, t):
     """Expected event count on [0, t], Lambda(t) = beta * t**alpha."""
     out = _cumulative(rate.alpha, rate.beta, _positions(t))
     return _unwrap(out, t)
-
-
-def inverse_cumulative_intensity(rate, w):
-    """Position at which the expected count reaches w.
-
-    Solves Lambda(t) = w in closed form, t = (w / beta)**(1 / alpha).
-    Inverse of ``cumulative_intensity`` on w >= 0.
-    """
-    out = _inverse(rate.alpha, rate.beta, _positions(w, name="w"))
-    return _unwrap(out, w)
 
 
 def log_likelihood(rate, records):

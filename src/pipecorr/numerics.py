@@ -31,7 +31,7 @@ _ORDERS = (16, 32, 64, 128, 256)
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Outcome of an adaptive quadrature run.
+    """Outcome of an adaptive quadrature run; only a converged run returns one.
 
     Attributes
     ----------
@@ -41,14 +41,11 @@ class QuadratureResult:
         Absolute difference between the last two estimates.
     evaluations : int
         Total number of integrand evaluations across all orders tried.
-    converged : bool
-        Whether the tolerance test was met before the ladder ran out.
     """
 
     value: float
     error_estimate: float
     evaluations: int
-    converged: bool
 
 
 def fixed_order_expectation(integrand, shape, order):
@@ -109,12 +106,8 @@ def expectation_semi_infinite(integrand, shape):
         if previous is not None:
             gap = abs(estimate - previous)
             if gap <= max(_REL_TOL * abs(estimate), _ABS_TOL):
-                return QuadratureResult(
-                    value=estimate,
-                    error_estimate=gap,
-                    evaluations=evaluations,
-                    converged=True,
-                )
+                return QuadratureResult(value=estimate, error_estimate=gap,
+                                        evaluations=evaluations)
     raise NumericError(
         "gamma-weighted quadrature did not converge (last gap %.3e)" % gap,
         last_estimate=estimate,

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import re
@@ -412,6 +413,59 @@ class TestReportSchema:
         _, first, _ = run_cli(argv)
         _, second, _ = run_cli(argv)
         assert first == second
+
+
+def subcommand_parsers():
+    """Each leaf subcommand's parser, by its name on the command line."""
+    def children(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                return action.choices
+        return {}
+
+    leaves = {}
+    for name, parser in children(cli.build_parser()).items():
+        kinds = children(parser)
+        leaves.update({"%s %s" % (name, k): p for k, p in kinds.items()} if kinds
+                      else {name: parser})
+    return leaves
+
+
+# Each subcommand's flags in --help order, and those it requires.
+OPTIONS = {
+    "fit": (["data", "--json"], {"data"}),
+    "predict": (["data", "--steps", "--level", "--holdout", "--json"], {"data"}),
+    "gof": (["data", "--holdout", "--method", "--json"], {"data"}),
+    "backtest": (["data", "--json"], {"data"}),
+    "simulate": (["--alpha", "--beta", "--m", "--seed", "--json"],
+                 {"--alpha", "--beta", "--m", "--seed"}),
+    "plot-data rate": (["--alpha", "--beta", "--t-min", "--t-max", "--points", "--form", "--json"],
+                       {"--alpha", "--beta", "--t-max"}),
+    "plot-data density": (["data", "--holdout", "--steps", "--y-min", "--y-max", "--points",
+                           "--json"], {"data"}),
+}
+
+
+class TestParser:
+    def test_subcommands(self):
+        assert set(subcommand_parsers()) == set(OPTIONS)
+
+    @pytest.mark.parametrize("name", OPTIONS)
+    def test_options_and_required_flags(self, name):
+        actions = [a for a in subcommand_parsers()[name]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        flags = [a.option_strings[0] if a.option_strings else a.dest for a in actions]
+        assert all(len(a.option_strings) <= 1 for a in actions)
+        assert flags == OPTIONS[name][0]
+        assert {f for f, a in zip(flags, actions) if a.required} == OPTIONS[name][1]
+
+    def test_shared_flags_agree(self):
+        # a flag that several subcommands take has one type, default and help
+        seen = {}
+        for parser in subcommand_parsers().values():
+            for a in parser._actions:
+                spec = (type(a), a.type, a.default, a.required, a.choices, a.help)
+                assert seen.setdefault(a.dest, spec) == spec, a.dest
 
 
 # One-line failures for inputs that once printed a traceback, a raw

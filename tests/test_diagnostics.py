@@ -11,9 +11,8 @@ from pipecorr import (
     exponential_transform,
     gof_report,
     ks_exponential_test,
-    ks_statistic_exponential,
-    time_rescaling_increments,
 )
+from pipecorr.diagnostics import ks_statistic_exponential, time_rescaling_increments
 from conftest import ORACLE_KS_D_17, ORACLE_KS_P_17
 
 
@@ -62,8 +61,11 @@ class TestExponentialTransform:
     def test_log_ratio_variant(self, survey17, fit17):
         u = exponential_transform(survey17, fit17, method="log-ratio")
         assert u.shape == (16,)
-        expected = fit17.rate.alpha * np.diff(np.log(survey17.as_array()))
+        # alpha * log(t_i / t_{i-1}) is Exp(i - 1) under the model; the
+        # weight i - 1 makes it Exp(1), and the weighted values sum to m
+        expected = np.arange(1, 17) * fit17.rate.alpha * np.diff(np.log(survey17.as_array()))
         assert np.allclose(u, expected, rtol=1e-13)
+        assert np.isclose(np.sum(u), 17.0, rtol=1e-12)
 
     def test_mismatched_fit_rejected(self, survey17, survey):
         from pipecorr import fit_mle
@@ -81,9 +83,7 @@ class TestExponentialTransform:
         # exactly the underlying exponential partial-sum differences
         rate = PowerLawRate(1.7, 0.4)
         s = np.array([0.3, 1.1, 2.6])
-        from pipecorr import inverse_cumulative_intensity
-
-        t = inverse_cumulative_intensity(rate, s)
+        t = (s / rate.beta) ** (1.0 / rate.alpha)
         u = time_rescaling_increments(rate, t)
         assert np.allclose(u, np.diff(np.concatenate([[0.0], s])), rtol=1e-10)
 
@@ -204,6 +204,17 @@ class TestGofReport:
         rep = gof_report(survey17, fit17, method="log-ratio")
         assert rep.n == 16
         assert rep.method == "log-ratio"
+
+    def test_log_ratio_accepts_the_model(self):
+        # well-specified paths, each fitted and tested: at the 5% level
+        # about 5% may be rejected (the unweighted reduction rejected all)
+        from pipecorr import fit_mle, simulate_first_m
+
+        ps = []
+        for seed in range(300):
+            records = simulate_first_m(PowerLawRate(1.3, 0.25), 60, seed=seed)
+            ps.append(gof_report(records, fit_mle(records), method="log-ratio").p_value)
+        assert np.mean(np.array(ps) < 0.05) <= 0.10
 
     def test_good_fit_on_simulated_data(self):
         # a path actually drawn from the model should not be rejected

@@ -12,7 +12,6 @@ from pipecorr import (
     backtest,
     conditional_density,
     cumulative_intensity,
-    density_curve,
     estimator_study,
     fit_mle,
     predict,
@@ -217,35 +216,28 @@ class TestPredict:
 
 
 class TestDensityCurve:
-    def test_shape_and_grid(self, query18):
-        curve = density_curve(query18, 50.545, 55.0, n_points=64)
-        assert curve.shape == (64, 2)
-        assert curve[0, 0] == 50.545
-        assert curve[-1, 0] == 55.0
+    """The density on a uniform grid, as ``plot-data density`` tabulates it."""
+
+    @pytest.mark.parametrize("s", [18, 21])
+    def test_grid_mass_matches_quantiles(self, fit17, s):
+        # the trapezoid mass between the 0.5% and 99.5% quantiles is 0.99
+        query = PredictionQuery(fitted=fit17, s=s)
+        y = np.linspace(predict_quantile(query, 0.005), predict_quantile(query, 0.995), 4001)
+        assert abs(np.trapezoid(conditional_density(query, y), y) - 0.99) <= 1e-6
 
     def test_survey_curve_peaks_at_left_edge(self, query18):
         # for the one-step-ahead survey fit the conditional density is
         # strictly decreasing on the support, so the top of the plotted
         # range is its left edge
-        curve = density_curve(query18, 50.545, 55.0, n_points=256)
-        dens = curve[:, 1]
+        y = np.linspace(50.545, 55.0, 256)
+        dens = conditional_density(query18, y)
         assert int(np.argmax(dens)) == 0
-        assert curve[np.argmax(dens), 0] < 55.0
         assert np.all(np.diff(dens) < 0)
 
     def test_multi_step_curve_has_interior_mode(self, fit17):
         query = PredictionQuery(fitted=fit17, s=21)
-        curve = density_curve(query, fit17.r_m, 75.0, n_points=512)
-        idx = int(np.argmax(curve[:, 1]))
+        idx = int(np.argmax(conditional_density(query, np.linspace(fit17.r_m, 75.0, 512))))
         assert 0 < idx < 511
-
-    def test_validation(self, query18):
-        with pytest.raises(ValueError):
-            density_curve(query18, 10.0, 55.0)
-        with pytest.raises(ValueError):
-            density_curve(query18, 55.0, 51.0)
-        with pytest.raises(ValueError):
-            density_curve(query18, 51.0, 55.0, n_points=1)
 
 
 class TestBacktest:

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pipecorr import (
-    PowerLawRate,
-    cumulative_intensity,
-    intensity_at,
-    inverse_cumulative_intensity,
-    log_likelihood,
-)
+from pipecorr import PowerLawRate, cumulative_intensity, intensity_at, log_likelihood
+from pipecorr.model import _inverse
 from conftest import ORACLE_ALPHA_17, ORACLE_BETA_17
 
 
@@ -95,23 +90,25 @@ class TestCumulative:
 
 
 class TestInverseCumulative:
+    """``model._inverse``, the Lambda^{-1} kernel that the sampler runs."""
+
     def test_round_trip(self):
         rate = PowerLawRate(1.1808, 0.1662)
         ts = np.array([0.772, 2.731, 16.58, 50.37])
-        back = inverse_cumulative_intensity(rate, cumulative_intensity(rate, ts))
+        back = _inverse(rate.alpha, rate.beta, cumulative_intensity(rate, ts))
         assert np.allclose(back, ts, rtol=1e-8)
 
     def test_round_trip_other_direction(self):
         rate = PowerLawRate(0.62, 3.1)
         ws = np.array([1e-6, 0.2, 5.0, 400.0])
-        again = cumulative_intensity(rate, inverse_cumulative_intensity(rate, ws))
+        again = cumulative_intensity(rate, _inverse(rate.alpha, rate.beta, ws))
         assert np.allclose(again, ws, rtol=1e-8)
+        # against the closed form (w / beta)**(1 / alpha)
+        assert np.allclose(_inverse(rate.alpha, rate.beta, ws),
+                           (ws / rate.beta) ** (1.0 / rate.alpha), rtol=1e-13)
 
-    def test_zero_and_domain(self):
-        rate = PowerLawRate(1.3, 0.4)
-        assert inverse_cumulative_intensity(rate, 0.0) == 0.0
-        with pytest.raises(ValueError):
-            inverse_cumulative_intensity(rate, -1.0)
+    def test_zero(self):
+        assert _inverse(1.3, 0.4, np.array([0.0]))[0] == 0.0
 
 
 class TestSurvivalAndDensity:

@@ -11,12 +11,11 @@ from pipecorr import (
     cumulative_intensity,
     estimator_study,
     fit_mle,
-    inverse_cumulative_intensity,
     predict_quantile,
     simulate_first_m,
     simulate_records_from_iid,
-    time_rescaling_increments,
 )
+from pipecorr.diagnostics import time_rescaling_increments
 
 
 RATE = PowerLawRate(1.2, 0.17)
@@ -176,14 +175,15 @@ class TestCountAt:
 
 
 def reference_study(rate, m, n_replicates, seed, level=0.95):
-    """The estimator study as a replicate-by-replicate loop over public pieces."""
+    """The estimator study as a replicate-by-replicate loop, from public pieces and closed forms."""
     alphas = np.empty(n_replicates)
     betas = np.empty(n_replicates)
     hits = 0
     tail = (1.0 - level) / 2.0
     for k in range(n_replicates):
         u = np.random.default_rng([seed, 2, k]).random(m + 1)
-        pos = inverse_cumulative_intensity(rate, np.cumsum(-np.log1p(-u)))
+        # the closed form (w / beta)**(1 / alpha), in the float steps of the sampler
+        pos = np.exp(np.log(np.cumsum(-np.log1p(-u)) / rate.beta) * (1.0 / rate.alpha))
         fitted = fit_mle(RecordSequence(pos[:m]))
         alphas[k] = fitted.rate.alpha
         betas[k] = fitted.rate.beta
