@@ -303,8 +303,7 @@ def _cmd_simulate(args, out):
     path = simulate_first_m(rate, args.m, args.seed)
     if args.json:
         _emit(args, out, simulation={
-            "alpha": _enc(rate.alpha),
-            "beta": _enc(rate.beta),
+            **_section(rate, ("alpha", "beta")),
             "m": args.m,
             "seed": args.seed,
             "positions_km": [_enc(x) for x in path.positions],
@@ -453,7 +452,7 @@ def main(argv=None, out=None, err=None):
         args = parser.parse_args(argv)
         _HANDLERS[args.command](args, out)
         return 0
-    except UsageError as exc:
+    except (UsageError, MemoryError) as exc:  # an array too large to allocate was sized by a flag
         err.write(_error_line("usage", exc) + "\n")
         return 2
     except DataValidationError as exc:

@@ -18,14 +18,12 @@ import numpy as np
 from scipy import special
 
 from .errors import DataValidationError, InsufficientDataError
-from .model import cumulative_intensity
+from .model import _cumulative
 
 __all__ = [
     "GofReport",
     "KS_ESTIMATED_PARAMS_CAVEAT",
-    "time_rescaling_increments",
     "exponential_transform",
-    "ks_statistic_exponential",
     "ks_exponential_test",
     "gof_report",
 ]
@@ -47,17 +45,6 @@ class GofReport:
     method: str = "increments"
 
 
-def time_rescaling_increments(rate, positions):
-    """Increments of the cumulative rate between successive events.
-
-    Prepends t_0 = 0, so the result has one entry per event. Under a
-    correct rate these are i.i.d. Exp(1).
-    """
-    pos = np.asarray(positions, dtype=float)
-    lam = cumulative_intensity(rate, np.concatenate([[0.0], pos]))
-    return np.diff(lam)
-
-
 def exponential_transform(records, fitted, method="increments"):
     """Map observed records to (approximately) unit exponentials.
 
@@ -77,7 +64,7 @@ def exponential_transform(records, fitted, method="increments"):
         exponential. For the MLE these sum to m exactly.
     """
     pos = records.as_array()
-    if fitted.m != pos.size or not np.isclose(fitted.r_m, pos[-1], rtol=1e-12, atol=0.0):
+    if fitted.m != pos.size or not abs(fitted.r_m - pos[-1]) <= 1e-12 * abs(pos[-1]):
         raise DataValidationError(
             "fitted model does not match the record sequence "
             "(fit has m=%d, r_m=%g; data have m=%d, r_m=%g)"
@@ -85,25 +72,11 @@ def exponential_transform(records, fitted, method="increments"):
             code="fit-data-mismatch",
         )
     if method == "increments":
-        return time_rescaling_increments(fitted.rate, pos)
+        rate = fitted.rate
+        return np.diff(_cumulative(rate.alpha, rate.beta, np.concatenate([[0.0], pos])))
     if method == "log-ratio":
         return np.arange(1, pos.size) * fitted.rate.alpha * np.diff(np.log(pos))
     raise ValueError("unknown transform method %r" % (method,))
-
-
-def ks_statistic_exponential(u):
-    """Two-sided KS distance between the sample and the Exp(1) CDF.
-
-    One pass over the sorted sample: D = max(D+, D-) with
-    D+ = max_i (i/n - F(u_(i))) and D- = max_i (F(u_(i)) - (i-1)/n).
-    """
-    u = np.asarray(u, dtype=float)
-    n = u.size
-    cdf = -np.expm1(-np.sort(u))
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - cdf)
-    d_minus = np.max(cdf - (i - 1) / n)
-    return float(max(d_plus, d_minus))
 
 
 def ks_exponential_test(u):
@@ -127,8 +100,12 @@ def ks_exponential_test(u):
     if not np.all((u > 0) & (u < np.inf)):
         raise DataValidationError("exponential sample must be strictly positive and finite",
                                   code="nonpositive")
-    d = ks_statistic_exponential(u)
+    # D = max(D+, D-) over the sorted sample, with D+ = max_i (i/n - F(u_(i)))
+    # and D- = max_i (F(u_(i)) - (i-1)/n).
     n = u.size
+    cdf = -np.expm1(-np.sort(u))
+    i = np.arange(1, n + 1)
+    d = float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
     x = (np.sqrt(n) + 0.12 + 0.11 / np.sqrt(n)) * d
     return d, float(special.kolmogorov(x))
 

@@ -23,8 +23,8 @@ class DataValidationError(ValueError):
 class InsufficientDataError(DataValidationError):
     """Raised when an operation needs more records than were supplied."""
 
-    def __init__(self, message, row=None):
-        super().__init__(message, code="insufficient-data", row=row)
+    def __init__(self, message):
+        super().__init__(message, code="insufficient-data")
 
 
 class NumericError(ArithmeticError):

@@ -63,10 +63,9 @@ def fixed_order_expectation(integrand, shape, order):
         raise ValueError("shape must be positive, got %g" % shape)
     with np.errstate(all="ignore"):
         nodes, weights = special.roots_genlaguerre(order, shape - 1.0)
-        # A constant integrand may return a scalar; broadcast it over the nodes.
-        vals = np.broadcast_to(integrand(nodes), nodes.shape)
         norm = np.exp(special.gammaln(shape))
-        value = float(np.sum(weights * vals)) / norm
+        # A constant integrand may return a scalar, which the product broadcasts.
+        value = float(np.sum(weights * integrand(nodes))) / norm
     if not (math.isfinite(value) and norm < np.inf):
         raise NumericError("gamma-weighted quadrature of order %d is not finite at shape %r"
                            % (order, shape))

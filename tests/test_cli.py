@@ -479,6 +479,10 @@ REPROS = [
     (["simulate", "--alpha", "1e15", "--beta", "1", "--m", "5", "--seed", "1"], 4),
     (["gof", "{survey}", "--holdout", "16"], 3),
     (["gof", "{survey}", "--holdout", "15", "--method", "log-ratio"], 3),
+    # 10**13 float64 values (73 TiB): the allocator refuses at once.
+    (["plot-data", "rate", "--alpha", "1", "--beta", "1", "--t-max", "1",
+      "--points", "10000000000000"], 2),
+    (["simulate", "--alpha", "1", "--beta", "1", "--m", "10000000000000", "--seed", "1"], 2),
 ]
 
 FLOATS = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e-8", "0.5", "3", "1e15",

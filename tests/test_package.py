@@ -25,8 +25,6 @@ MODULE_NAMES = [
     ("numerics", "QuadratureResult"),
     ("numerics", "expectation_semi_infinite"),
     ("numerics", "fixed_order_expectation"),
-    ("diagnostics", "time_rescaling_increments"),
-    ("diagnostics", "ks_statistic_exponential"),
 ]
 
 # Functions whose spans the benchmark harness reads; its tracer wraps only
